@@ -256,8 +256,14 @@ def saris_optimize(f: FoldedChannel, config: OptimizerConfig) -> OptimizerState:
     non-increasing by construction; a step halved to nothing means the current
     point is as good as this direction gets, which counts as convergence.
 
-    After the loop the precoder is matched to the final loads once more, so
-    state.W, final_smse, and final_sum_rate describe a coherent pair.
+    The regularized precoder is not the exact SMSE minimizer, so re-matching
+    it to new loads can raise the objective; inside the loop a re-matched
+    precoder that would raise it above the last trace entry is discarded and
+    the previous one kept.
+
+    After the loop the precoder is matched to the final loads once more,
+    unconditionally, so state.W, final_smse, and final_sum_rate describe a
+    coherent matched pair; final_smse is not a trace entry.
     """
     n = f.n_ris
     x = np.clip(config.initial_reactances(n), *config.q_interval)
@@ -294,9 +300,11 @@ def saris_optimize(f: FoldedChannel, config: OptimizerConfig) -> OptimizerState:
     for i in range(1, config.max_iter + 1):
         state.iteration = i
         w = optimal_precoder(h_total, config.power, config.sigma_n2)
+        smse_w = smse(f.H_d, h_ris, w, config.sigma_n2)
+        if smse_w > state.smse_trace[-1]:
+            w, smse_w = state.W, state.smse_trace[-1]
         state.W = w
         record_w_diagnostics(h_total, w)
-        smse_w = smse(f.H_d, h_ris, w, config.sigma_n2)
 
         ds = build_delta_system(f, state)
         delta = solve_delta(ds, w, config.sigma_n2, g_norm)
