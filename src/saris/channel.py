@@ -3,18 +3,18 @@
 The scatterer (ESO) block is eliminated once per deployment by a Schur
 complement, leaving a compact folded form whose only free variable is the
 diagonal RIS load matrix. Evaluating the channel for a new load setting then
-costs a single N x N solve. The interaction-free variant, which drops the
-coupling between RIS cells and scatterers, shares the same evaluation path so
-that model-gap comparisons are apples to apples.
+costs one LU factorization of an N x N matrix, which also serves the load
+sensitivities and the trust bound of the optimizer. The interaction-free
+variant, which drops the coupling between RIS cells and scatterers, shares the
+same evaluation path so that model-gap comparisons are apples to apples.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor, lu_solve
+from scipy.linalg import get_lapack_funcs
 
 from saris.dipoles import ImpedanceSet
 
@@ -77,7 +77,6 @@ class FoldedChannel:
     because every evaluation needs it next to Z_SOS.
     """
 
-    Zbar_OO: np.ndarray
     Z_ROT: np.ndarray
     Z_ROS: np.ndarray
     Z_SOS: np.ndarray
@@ -101,35 +100,43 @@ class FoldedChannel:
 
 
 def _guarded_lu(a: np.ndarray, name: str):
-    """LU factorization that rejects near-singular blocks by a reciprocal
-    condition estimate."""
+    """LU factors (lu, piv) of a square matrix, rejecting near-singular blocks
+    by a reciprocal condition estimate."""
     anorm = np.linalg.norm(a, 1)
     if not np.isfinite(anorm):
         raise SingularBlockError(name, np.inf)
-    with warnings.catch_warnings():
-        # An exactly singular factor is reported below as a typed error.
-        warnings.simplefilter("ignore", LinAlgWarning)
-        lu, piv = lu_factor(a)
-    gecon = get_lapack_funcs("gecon", (a,))
+    getrf, gecon = get_lapack_funcs(("getrf", "gecon"), (a,))
+    # An exactly singular factor (getrf info > 0) has rcond 0 and is reported
+    # below as a typed error.
+    lu, piv, _ = getrf(a)
     rcond, info = gecon(lu, anorm, norm="1")
     if info != 0 or rcond <= 0 or not np.isfinite(rcond) or 1.0 / rcond > COND_LIMIT:
         raise SingularBlockError(name, np.inf if rcond <= 0 else 1.0 / rcond)
     return lu, piv
 
 
+def _lu_solve(factors, b: np.ndarray, trans: int = 0) -> np.ndarray:
+    """Solve a x = b (trans=0), a^T x = b (trans=1) or a^H x = b (trans=2)
+    with the factors of _guarded_lu through LAPACK getrs, which skips the
+    per-call input checks of scipy.linalg.lu_solve."""
+    lu, piv = factors
+    getrs = get_lapack_funcs("getrs", (lu, b))
+    x, _ = getrs(lu, piv, b, trans=trans)
+    return x
+
+
 def fold_esos(z: ImpedanceSet) -> FoldedChannel:
     """Eliminate the ESO block from the multiport description.
 
-    Zbar_OO is applied through LU solves only; a condition estimate above
+    Every block is applied through LU solves; a condition estimate above
     COND_LIMIT raises SingularBlockError naming the offending block.
     """
     ns = z.n_eso
     m, l = z.m_tx, z.l_rx
-    zbar_oo = z.Z_OO + z.Z_US
     if ns:
-        lu = _guarded_lu(zbar_oo, "Zbar_OO")
-        x_sol = lu_solve(lu, z.Z_OT)
-        y_sol = lu_solve(lu, z.Z_OS)
+        lu = _guarded_lu(z.Z_OO + z.Z_US, "Z_OO + Z_US")
+        x_sol = _lu_solve(lu, z.Z_OT)
+        y_sol = _lu_solve(lu, z.Z_OS)
     else:
         x_sol = np.zeros((0, m), dtype=complex)
         y_sol = np.zeros((0, z.n_ris), dtype=complex)
@@ -142,11 +149,10 @@ def fold_esos(z: ImpedanceSet) -> FoldedChannel:
     if np.any(zl_diag == 0):
         raise SingularBlockError("Z_L", np.inf)
     a_rl = np.eye(l, dtype=complex) + z.Z_RR / zl_diag[None, :]
-    z_rl = lu_solve(_guarded_lu(a_rl, "I + Z_RR Z_L^-1"), np.eye(l, dtype=complex))
-    z_tg = lu_solve(_guarded_lu(z.Z_TT + z.Z_G, "Z_TT + Z_G"), np.eye(m, dtype=complex))
+    z_rl = _lu_solve(_guarded_lu(a_rl, "I + Z_RR Z_L^-1"), np.eye(l, dtype=complex))
+    z_tg = _lu_solve(_guarded_lu(z.Z_TT + z.Z_G, "Z_TT + Z_G"), np.eye(m, dtype=complex))
 
     return FoldedChannel(
-        Zbar_OO=zbar_oo,
         Z_ROT=z_rot,
         Z_ROS=z_ros,
         Z_SOS=z_sos,
@@ -165,15 +171,36 @@ def scatter_matrix(f: FoldedChannel, loads: RisLoads) -> np.ndarray:
     return s
 
 
+class LoadEvaluation:
+    """The folded channel at one load setting, from one guarded LU of
+    S = Z_SS + Z_SOS + Z_RIS.
+
+    The channel is H = H_d + h_ris with h_ris = -v S^-1 (Z_SOT Z_TG) and
+    v = Z_RL Z_ROS; a_mat holds S^-1 (Z_SOT Z_TG). Every other use of S^-1
+    (load sensitivities, the spectral norm of S^-1) goes through solve, so
+    the inverse is never formed. The loads the factors belong to ride along.
+    """
+
+    def __init__(self, f: FoldedChannel, loads: RisLoads):
+        if loads.n != f.n_ris:
+            raise ValueError(f"loads have {loads.n} entries, channel expects {f.n_ris}")
+        self.loads = loads
+        self._lu = (
+            _guarded_lu(scatter_matrix(f, loads), "Z_SS + Z_SOS + Z_RIS") if loads.n else None
+        )
+        self.v = f.Z_RL @ f.Z_ROS
+        self.a_mat = self.solve(f.Z_SOT @ f.Z_TG)
+        self.h_ris = -(self.v @ self.a_mat)
+        self.h = f.H_d + self.h_ris
+
+    def solve(self, b: np.ndarray, trans: int = 0) -> np.ndarray:
+        """S^-1 b (trans=0), S^-T b (trans=1) or S^-H b (trans=2)."""
+        return b if self._lu is None else _lu_solve(self._lu, b, trans)
+
+
 def end_to_end_channel(f: FoldedChannel, loads: RisLoads) -> np.ndarray:
     """Receive-side channel (L x M) for the given RIS loads."""
-    if loads.n != f.n_ris:
-        raise ValueError(f"loads have {loads.n} entries, channel expects {f.n_ris}")
-    if f.n_ris == 0:
-        return f.Z_RL @ f.Z_ROT @ f.Z_TG
-    s = scatter_matrix(f, loads)
-    lu = _guarded_lu(s, "Z_SS + Z_SOS + Z_RIS")
-    return f.Z_RL @ (f.Z_ROT - f.Z_ROS @ lu_solve(lu, f.Z_SOT)) @ f.Z_TG
+    return LoadEvaluation(f, loads).h
 
 
 def interaction_free(f: FoldedChannel, z: ImpedanceSet) -> FoldedChannel:
@@ -182,7 +209,6 @@ def interaction_free(f: FoldedChannel, z: ImpedanceSet) -> FoldedChannel:
     full model; the RIS-dependent term reverts to the bare blocks."""
     n = z.n_ris
     return FoldedChannel(
-        Zbar_OO=f.Zbar_OO,
         Z_ROT=f.Z_ROT,
         Z_ROS=-z.Z_RS,
         Z_SOS=np.zeros((n, n), dtype=complex),

@@ -188,26 +188,40 @@ def _canonical_pair(a: Dipole, b: Dipole) -> tuple[Dipole, Dipole]:
     return (a, b) if ka >= kb else (b, a)
 
 
-def _check_overlap(a: Dipole, b: Dipole):
-    dx = a.position[0] - b.position[0]
-    dy = a.position[1] - b.position[1]
-    dz = a.position[2] - b.position[2]
-    center_dist = float(np.sqrt(dx * dx + dy * dy + dz * dz))
-    radius_sum = a.wire_radius + b.wire_radius
-    if center_dist < radius_sum:
+def _pair_separations(dipoles: list[Dipole], iu, ju) -> np.ndarray:
+    """Horizontal separations of the element pairs (dipoles[iu], dipoles[ju]).
+
+    Raises GeometryError if two of these distinct dipoles have centers closer
+    than the sum of their wire radii, or wire bodies that intersect (collinear
+    with overlapping axial extents).
+    """
+    pos = np.array([d.position for d in dipoles])
+    radii = np.array([d.wire_radius for d in dipoles])
+    half = np.array([d.half_length for d in dipoles])
+    dx = pos[iu, 0] - pos[ju, 0]
+    dy = pos[iu, 1] - pos[ju, 1]
+    dz = pos[iu, 2] - pos[ju, 2]
+    rho = np.hypot(dx, dy)
+    rsum = radii[iu] + radii[ju]
+    close = np.sqrt(rho**2 + dz**2) < rsum
+    if np.any(close):
+        p = int(np.flatnonzero(close)[0])
         raise GeometryError(
-            f"distinct dipoles at center distance {center_dist:.3e} m overlap "
-            f"(sum of wire radii {radius_sum:.3e} m)"
+            f"distinct dipoles overlap: elements {int(iu[p])} and {int(ju[p])} "
+            "have center distance below the sum of wire radii"
         )
-    rho = float(np.hypot(dx, dy))
-    if rho < radius_sum:
-        a_lo, a_hi = a.position[2] - a.half_length, a.position[2] + a.half_length
-        b_lo, b_hi = b.position[2] - b.half_length, b.position[2] + b.half_length
-        if min(a_hi, b_hi) - max(a_lo, b_lo) > 0:
-            raise GeometryError(
-                "wire bodies intersect: collinear dipoles with overlapping "
-                f"axial extents at horizontal separation {rho:.3e} m"
-            )
+    zhi = pos[:, 2] + half
+    zlo = pos[:, 2] - half
+    body = (rho < rsum) & (
+        np.minimum(zhi[iu], zhi[ju]) - np.maximum(zlo[iu], zlo[ju]) > 0
+    )
+    if np.any(body):
+        p = int(np.flatnonzero(body)[0])
+        raise GeometryError(
+            f"wire bodies intersect: elements {int(iu[p])} and {int(ju[p])} are "
+            "collinear with overlapping axial extents"
+        )
+    return rho
 
 
 def mutual_impedance(a: Dipole, b: Dipole, wavelength: float, order: int = DEFAULT_ORDER) -> complex:
@@ -223,10 +237,7 @@ def mutual_impedance(a: Dipole, b: Dipole, wavelength: float, order: int = DEFAU
     if a.same_geometry(b):
         rho = max(a.wire_radius, b.wire_radius)
     else:
-        _check_overlap(a, b)
-        rho = float(
-            np.hypot(src.position[0] - tst.position[0], src.position[1] - tst.position[1])
-        )
+        rho = float(_pair_separations([a, b], np.array([0]), np.array([1]))[0])
     z = _impedance_batch(
         np.array([rho]),
         src.position[2],
@@ -388,7 +399,6 @@ def assemble_impedances(
     n = len(groups[Role.RIS_CELL])
     kk = len(ordered)
 
-    pos = np.array([d.position for d in ordered])
     seen: dict[tuple, int] = {}
     for i, d in enumerate(ordered):
         if d.position in seen:
@@ -420,31 +430,7 @@ def assemble_impedances(
         [key_rank[(d.half_length, d.position[2], d.wire_radius)] for d in ordered]
     )
 
-    dx = pos[iu, 0] - pos[ju, 0]
-    dy = pos[iu, 1] - pos[ju, 1]
-    dz = pos[iu, 2] - pos[ju, 2]
-    rho_all = np.hypot(dx, dy)
-    radii = np.array([d.wire_radius for d in ordered])
-    half = np.array([d.half_length for d in ordered])
-    rsum = radii[iu] + radii[ju]
-    close = np.sqrt(rho_all**2 + dz**2) < rsum
-    if np.any(close):
-        p = int(np.flatnonzero(close)[0])
-        raise GeometryError(
-            f"distinct dipoles overlap: elements {int(iu[p])} and {int(ju[p])} "
-            "have center distance below the sum of wire radii"
-        )
-    zhi = pos[:, 2] + half
-    zlo = pos[:, 2] - half
-    body = (rho_all < rsum) & (
-        np.minimum(zhi[iu], zhi[ju]) - np.maximum(zlo[iu], zlo[ju]) > 0
-    )
-    if np.any(body):
-        p = int(np.flatnonzero(body)[0])
-        raise GeometryError(
-            f"wire bodies intersect: elements {int(iu[p])} and {int(ju[p])} are "
-            "collinear with overlapping axial extents"
-        )
+    rho_all = _pair_separations(ordered, iu, ju)
 
     ri, rj = ranks[iu], ranks[ju]
     src_rank = np.maximum(ri, rj)

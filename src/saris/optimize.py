@@ -13,15 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, lu_solve
+from scipy.linalg import cho_factor, cho_solve
 
 from saris.channel import (
     FoldedChannel,
+    LoadEvaluation,
     RisLoads,
-    _guarded_lu,
     end_to_end_channel,
     interaction_free,
-    scatter_matrix,
 )
 from saris.dipoles import ImpedanceSet
 
@@ -31,7 +30,7 @@ class DegenerateChannelError(ValueError):
 
 
 class StaleStateError(RuntimeError):
-    """State matrices no longer correspond to the current loads."""
+    """The state's load evaluation no longer corresponds to its loads."""
 
 
 @dataclass
@@ -67,18 +66,22 @@ class OptimizerConfig:
 
 @dataclass
 class OptimizerState:
-    """Carrier of one optimization run: current iterate plus its history."""
+    """Carrier of one optimization run: current iterate plus its history.
+
+    evaluation holds the channel and the LU factors at the current loads;
+    g_norm is the spectral norm of the inverse S^-1 those factors apply.
+    """
 
     W: np.ndarray
     loads: RisLoads
-    G: np.ndarray
+    evaluation: LoadEvaluation
     smse_trace: list[float] = field(default_factory=list)
     rate_trace: list[float] = field(default_factory=list)
     iteration: int = 0
     converged: bool = False
     g_norm: float = 0.0
     # Per-iteration diagnostics used by the acceptance checks. guard_trace
-    # holds max|delta_n| * ||G|| of the applied step; halving_trace counts how
+    # holds max|delta_n| * ||S^-1|| of the applied step; halving_trace counts how
     # often the step was halved to keep the objective non-increasing.
     guard_trace: list[float] = field(default_factory=list)
     halving_trace: list[int] = field(default_factory=list)
@@ -87,7 +90,6 @@ class OptimizerState:
     feasible_trace: list[bool] = field(default_factory=list)
     final_smse: float = float("nan")
     final_sum_rate: float = float("nan")
-    _g_loads_x: np.ndarray | None = None
 
 
 @dataclass
@@ -124,43 +126,50 @@ def sum_rate(H: np.ndarray, W: np.ndarray, sigma_n2: float) -> float:
     return float(np.sum(np.log2(1.0 + sinr)))
 
 
-def optimal_precoder(H: np.ndarray, power: float, sigma_n2: float) -> np.ndarray:
-    """Regularized closed-form precoder scaled to the full power budget."""
+def _precoder_solve(H: np.ndarray, power: float, sigma_n2: float):
+    """Regularized closed-form precoder scaled to the full power budget, and
+    the residual of the normal equations it solves relative to the channel
+    norm; returns (precoder, residual)."""
     l_rx, m_tx = H.shape
     if not np.any(H):
         raise DegenerateChannelError("channel matrix is zero")
-    a = H.conj().T @ H + (l_rx * sigma_n2 / power) * np.eye(m_tx)
-    w_bar = np.linalg.solve(a, H.conj().T)
-    return np.sqrt(power) * w_bar / np.linalg.norm(w_bar)
+    h_h = H.conj().T
+    a = h_h @ H + (l_rx * sigma_n2 / power) * np.eye(m_tx)
+    w_bar = np.linalg.solve(a, h_h)
+    residual = float(np.linalg.norm(a @ w_bar - h_h) / np.linalg.norm(H))
+    return np.sqrt(power) * w_bar / np.linalg.norm(w_bar), residual
+
+
+def optimal_precoder(H: np.ndarray, power: float, sigma_n2: float) -> np.ndarray:
+    """Regularized closed-form precoder scaled to the full power budget."""
+    return _precoder_solve(H, power, sigma_n2)[0]
 
 
 def precoder_residual(H: np.ndarray, power: float, sigma_n2: float) -> float:
     """Stationarity residual of the precoder normal equations, relative to
     the channel norm."""
-    l_rx, m_tx = H.shape
-    mu = l_rx * sigma_n2 / power
-    a = H.conj().T @ H + mu * np.eye(m_tx)
-    w_bar = np.linalg.solve(a, H.conj().T)
-    return float(np.linalg.norm(a @ w_bar - H.conj().T) / np.linalg.norm(H))
+    return _precoder_solve(H, power, sigma_n2)[1]
 
 
-def _power_norm(a: np.ndarray, tol: float = 1e-6, max_iter: int = 200, v0=None):
-    """Spectral norm by power iteration on a^H a; returns (norm, vector) so
-    callers can warm-start the next estimate."""
-    n = a.shape[0]
-    if n == 0 or not np.any(a):
-        return 0.0, np.zeros(n, dtype=complex)
+def _power_norm(apply, n: int, tol: float = 1e-6, max_iter: int = 200, v0=None):
+    """Spectral norm of an n x n operator A by power iteration on A^H A.
+
+    apply(v, trans) returns A v for trans=0 and A^H v for trans=2. Returns
+    (norm, vector) so callers can warm-start the next estimate.
+    """
+    if n == 0:
+        return 0.0, np.zeros(0, dtype=complex)
     if v0 is None or not np.any(v0):
         v = np.ones(n, dtype=complex) / np.sqrt(n)
     else:
         v = v0 / np.linalg.norm(v0)
     sigma = 0.0
     for _ in range(max_iter):
-        av = a @ v
+        av = apply(v, 0)
         sigma_new = np.linalg.norm(av)
         if sigma_new == 0.0:
             return 0.0, v
-        v = a.conj().T @ av
+        v = apply(av, 2)
         v_norm = np.linalg.norm(v)
         if v_norm == 0.0:
             return float(sigma_new), av / sigma_new
@@ -173,37 +182,27 @@ def _power_norm(a: np.ndarray, tol: float = 1e-6, max_iter: int = 200, v0=None):
 
 
 def spectral_norm(a: np.ndarray, tol: float = 1e-6, max_iter: int = 200) -> float:
-    return _power_norm(a, tol=tol, max_iter=max_iter)[0]
-
-
-def scatter_inverse(f: FoldedChannel, loads: RisLoads) -> np.ndarray:
-    """Materialized inverse of the load-dependent inner matrix."""
-    n = f.n_ris
-    if n == 0:
-        return np.zeros((0, 0), dtype=complex)
-    lu = _guarded_lu(scatter_matrix(f, loads), "Z_SS + Z_SOS + Z_RIS")
-    return lu_solve(lu, np.eye(n, dtype=complex))
+    """Spectral norm of a dense square matrix by power iteration."""
+    return _power_norm(lambda v, trans: (a.conj().T if trans else a) @ v, len(a), tol, max_iter)[0]
 
 
 def build_delta_system(f: FoldedChannel, state: OptimizerState) -> DeltaStep:
     """Per-user factors of the channel linearized at the current loads.
 
-    Raises StaleStateError if state.G was computed for different loads than
-    state currently holds.
+    The sensitivity rows are u_l[n] * (S^-1 Z_SOT Z_TG)[n] with u = v S^-1,
+    taken from one transposed solve with the factors of state.evaluation.
+    Raises StaleStateError if state.evaluation belongs to different loads
+    than state currently holds.
     """
-    if state._g_loads_x is None or not np.array_equal(state._g_loads_x, state.loads.x):
-        raise StaleStateError("state.G does not correspond to state.loads")
-    g = state.G
-    v = f.Z_RL @ f.Z_ROS
-    u = v @ g
-    b_mat = f.Z_SOT @ f.Z_TG
-    a_mat = g @ b_mat
-    h_bars = []
-    for l in range(f.l_rx):
-        h_r = u[l][:, None] * a_mat
-        h_d_row = f.H_d[l] - u[l] @ b_mat
-        h_bars.append(np.vstack([h_r, h_d_row[None, :]]))
-    return DeltaStep(h_bar_per_user=h_bars)
+    ev = state.evaluation
+    if not np.array_equal(ev.loads.x, state.loads.x):
+        raise StaleStateError("state.evaluation does not correspond to state.loads")
+    u = ev.solve(ev.v.T, 1).T
+    return DeltaStep(
+        h_bar_per_user=[
+            np.vstack([u[l][:, None] * ev.a_mat, ev.h[l][None, :]]) for l in range(f.l_rx)
+        ]
+    )
 
 
 def solve_delta(ds: DeltaStep, W: np.ndarray, sigma_n2: float, g_norm: float) -> np.ndarray:
@@ -237,11 +236,6 @@ def solve_delta(ds: DeltaStep, W: np.ndarray, sigma_n2: float, g_norm: float) ->
     return ds.delta
 
 
-def _ris_term(f: FoldedChannel, g: np.ndarray) -> np.ndarray:
-    """Load-dependent channel part for the current inner inverse."""
-    return -(f.Z_RL @ f.Z_ROS) @ g @ (f.Z_SOT @ f.Z_TG)
-
-
 _MAX_HALVINGS = 60
 
 
@@ -268,23 +262,18 @@ def saris_optimize(f: FoldedChannel, config: OptimizerConfig) -> OptimizerState:
     n = f.n_ris
     x = np.clip(config.initial_reactances(n), *config.q_interval)
     loads = RisLoads(config.r0, x, config.q_interval)
-    g = scatter_inverse(f, loads)
-    g_norm, g_vec = _power_norm(g)
+    ev = LoadEvaluation(f, loads)
+    g_norm, g_vec = _power_norm(ev.solve, n)
+    w, w_residual = _precoder_solve(ev.h, config.power, config.sigma_n2)
 
-    h_ris = _ris_term(f, g)
-    h_total = f.H_d + h_ris
-    w = optimal_precoder(h_total, config.power, config.sigma_n2)
+    state = OptimizerState(W=w, loads=loads, evaluation=ev, g_norm=g_norm)
+    state.smse_trace.append(smse(f.H_d, ev.h_ris, w, config.sigma_n2))
+    state.rate_trace.append(sum_rate(ev.h, w, config.sigma_n2))
 
-    state = OptimizerState(W=w, loads=loads, G=g, g_norm=g_norm)
-    state._g_loads_x = loads.x.copy()
-    state.smse_trace.append(smse(f.H_d, h_ris, w, config.sigma_n2))
-    state.rate_trace.append(sum_rate(h_total, w, config.sigma_n2))
-
-    def record_w_diagnostics(h_mat, w_mat):
-        state.w_residual_trace.append(
-            precoder_residual(h_mat, config.power, config.sigma_n2)
-        )
-        power_err = abs(np.linalg.norm(w_mat) ** 2 - config.power) / config.power
+    def record_w_diagnostics():
+        # w_residual belongs to the solve that produced state.W.
+        state.w_residual_trace.append(w_residual)
+        power_err = abs(np.linalg.norm(state.W) ** 2 - config.power) / config.power
         state.w_power_error_trace.append(power_err)
 
     def record_feasibility():
@@ -299,12 +288,15 @@ def saris_optimize(f: FoldedChannel, config: OptimizerConfig) -> OptimizerState:
     record_feasibility()
     for i in range(1, config.max_iter + 1):
         state.iteration = i
-        w = optimal_precoder(h_total, config.power, config.sigma_n2)
-        smse_w = smse(f.H_d, h_ris, w, config.sigma_n2)
-        if smse_w > state.smse_trace[-1]:
-            w, smse_w = state.W, state.smse_trace[-1]
-        state.W = w
-        record_w_diagnostics(h_total, w)
+        ev = state.evaluation
+        w_new, residual = _precoder_solve(ev.h, config.power, config.sigma_n2)
+        smse_w = smse(f.H_d, ev.h_ris, w_new, config.sigma_n2)
+        if smse_w <= state.smse_trace[-1]:
+            state.W, w_residual = w_new, residual
+        else:
+            smse_w = state.smse_trace[-1]
+        w = state.W
+        record_w_diagnostics()
 
         ds = build_delta_system(f, state)
         delta = solve_delta(ds, w, config.sigma_n2, g_norm)
@@ -312,7 +304,7 @@ def saris_optimize(f: FoldedChannel, config: OptimizerConfig) -> OptimizerState:
             state.guard_trace.append(0.0)
             state.halving_trace.append(0)
             state.smse_trace.append(smse_w)
-            state.rate_trace.append(sum_rate(h_total, w, config.sigma_n2))
+            state.rate_trace.append(sum_rate(ev.h, w, config.sigma_n2))
             record_feasibility()
             state.converged = True
             break
@@ -321,10 +313,8 @@ def saris_optimize(f: FoldedChannel, config: OptimizerConfig) -> OptimizerState:
         halvings = 0
         while True:
             x_cand = np.clip(state.loads.x - np.imag(step), *config.q_interval)
-            loads_cand = RisLoads(config.r0, x_cand, config.q_interval)
-            g_cand = scatter_inverse(f, loads_cand)
-            h_ris_cand = _ris_term(f, g_cand)
-            smse_cand = smse(f.H_d, h_ris_cand, w, config.sigma_n2)
+            cand = LoadEvaluation(f, RisLoads(config.r0, x_cand, config.q_interval))
+            smse_cand = smse(f.H_d, cand.h_ris, w, config.sigma_n2)
             if smse_cand <= smse_w or halvings >= _MAX_HALVINGS:
                 break
             step = step / 2.0
@@ -335,33 +325,27 @@ def saris_optimize(f: FoldedChannel, config: OptimizerConfig) -> OptimizerState:
         if smse_cand > smse_w:
             # Even a vanishing step along this direction does not help.
             state.smse_trace.append(smse_w)
-            state.rate_trace.append(sum_rate(h_total, w, config.sigma_n2))
+            state.rate_trace.append(sum_rate(ev.h, w, config.sigma_n2))
             record_feasibility()
             state.converged = True
             break
 
-        loads = loads_cand
-        g = g_cand
-        g_norm, g_vec = _power_norm(g, v0=g_vec)
-        state.loads = loads
-        state.G = g
+        g_norm, g_vec = _power_norm(cand.solve, n, v0=g_vec)
+        state.loads = cand.loads
+        state.evaluation = cand
         state.g_norm = g_norm
-        state._g_loads_x = loads.x.copy()
-
-        h_ris = h_ris_cand
-        h_total = f.H_d + h_ris
         state.smse_trace.append(smse_cand)
-        state.rate_trace.append(sum_rate(h_total, w, config.sigma_n2))
+        state.rate_trace.append(sum_rate(cand.h, w, config.sigma_n2))
         record_feasibility()
         if abs(state.smse_trace[-1] - state.smse_trace[-2]) <= config.epsilon:
             state.converged = True
             break
 
-    w = optimal_precoder(h_total, config.power, config.sigma_n2)
-    state.W = w
-    record_w_diagnostics(h_total, w)
-    state.final_smse = smse(f.H_d, h_ris, w, config.sigma_n2)
-    state.final_sum_rate = sum_rate(h_total, w, config.sigma_n2)
+    ev = state.evaluation
+    state.W, w_residual = _precoder_solve(ev.h, config.power, config.sigma_n2)
+    record_w_diagnostics()
+    state.final_smse = smse(f.H_d, ev.h_ris, state.W, config.sigma_n2)
+    state.final_sum_rate = sum_rate(ev.h, state.W, config.sigma_n2)
     return state
 
 
@@ -401,28 +385,23 @@ def random_baseline(
     best_rate = -np.inf
     best = None
     best_smse = np.inf
-    state = None
     smse_trace: list[float] = []
     rate_trace: list[float] = []
     for t in range(trials):
-        loads = RisLoads(config.r0, draws[t], config.q_interval)
-        g = scatter_inverse(f, loads)
-        h_ris = _ris_term(f, g)
-        h_total = f.H_d + h_ris
-        w = optimal_precoder(h_total, config.power, config.sigma_n2)
-        rate = sum_rate(h_total, w, config.sigma_n2)
-        err = smse(f.H_d, h_ris, w, config.sigma_n2)
+        ev = LoadEvaluation(f, RisLoads(config.r0, draws[t], config.q_interval))
+        w = optimal_precoder(ev.h, config.power, config.sigma_n2)
+        rate = sum_rate(ev.h, w, config.sigma_n2)
+        err = smse(f.H_d, ev.h_ris, w, config.sigma_n2)
         best_smse = min(best_smse, err)
         if rate > best_rate:
             best_rate = rate
-            best = (w, loads, g)
+            best = (w, ev)
         smse_trace.append(best_smse)
         rate_trace.append(best_rate)
 
-    w, loads, g = best
-    state = OptimizerState(W=w, loads=loads, G=g)
-    state._g_loads_x = loads.x.copy()
-    state.g_norm = spectral_norm(g)
+    w, ev = best
+    state = OptimizerState(W=w, loads=ev.loads, evaluation=ev)
+    state.g_norm = _power_norm(ev.solve, n)[0]
     state.smse_trace = smse_trace
     state.rate_trace = rate_trace
     state.iteration = trials

@@ -10,16 +10,15 @@ from time import perf_counter
 import numpy as np
 from scipy.integrate import quad
 
-from saris.channel import RisLoads, end_to_end_channel, fold_esos
+from saris.channel import LoadEvaluation, RisLoads, fold_esos
 from saris.dipoles import ETA0, ImpedanceSet, assemble_impedances
 from saris.optimize import (
     OptimizerConfig,
     OptimizerState,
+    _power_norm,
     build_delta_system,
     optimal_precoder,
-    scatter_inverse,
     solve_delta,
-    spectral_norm,
 )
 from saris.scenario import ScenarioConfig, generate, resize_users
 
@@ -173,11 +172,10 @@ def delta_step_seconds(n_ris, repeats=25):
     f = fold_esos(z)
     opt = OptimizerConfig()
     loads = RisLoads(opt.r0, opt.initial_reactances(n_ris), opt.q_interval)
-    g = scatter_inverse(f, loads)
-    g_norm = spectral_norm(g)
-    w = optimal_precoder(end_to_end_channel(f, loads), opt.power, opt.sigma_n2)
-    state = OptimizerState(W=w, loads=loads, G=g, g_norm=g_norm)
-    state._g_loads_x = loads.x.copy()
+    ev = LoadEvaluation(f, loads)
+    g_norm = _power_norm(ev.solve, n_ris)[0]
+    w = optimal_precoder(ev.h, opt.power, opt.sigma_n2)
+    state = OptimizerState(W=w, loads=loads, evaluation=ev, g_norm=g_norm)
     best = np.inf
     for _ in range(repeats):
         t0 = perf_counter()

@@ -6,16 +6,21 @@ from time import perf_counter
 
 import numpy as np
 
-from saris.channel import RisLoads, end_to_end_channel, fold_esos, mismatched_channel
+from saris.channel import (
+    LoadEvaluation,
+    RisLoads,
+    end_to_end_channel,
+    fold_esos,
+    mismatched_channel,
+)
 from saris.dipoles import assemble_impedances
 from saris.optimize import (
     OptimizerConfig,
     OptimizerState,
+    _power_norm,
     build_delta_system,
     optimal_precoder,
-    scatter_inverse,
     solve_delta,
-    spectral_norm,
 )
 from saris.scenario import ScenarioConfig, generate
 
@@ -123,14 +128,13 @@ def test_criterion_05_trust_bound_and_first_order_decay(table1_runs, record_crit
     opt = table1_runs.opt
     x0 = np.clip(opt.initial_reactances(f.n_ris), *opt.q_interval)
     loads = RisLoads(opt.r0, x0, opt.q_interval)
-    g = scatter_inverse(f, loads)
+    ev = LoadEvaluation(f, loads)
     state = OptimizerState(
         W=np.zeros((f.m_tx, f.l_rx), dtype=complex),
         loads=loads,
-        G=g,
-        g_norm=spectral_norm(g),
+        evaluation=ev,
+        g_norm=_power_norm(ev.solve, f.n_ris)[0],
     )
-    state._g_loads_x = loads.x.copy()
     h0 = end_to_end_channel(f, loads)
     w = optimal_precoder(h0, opt.power, opt.sigma_n2)
     state.W = w

@@ -4,19 +4,19 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from saris.channel import RisLoads, end_to_end_channel
+from saris.channel import LoadEvaluation, RisLoads, end_to_end_channel
 from saris.optimize import (
     DegenerateChannelError,
     OptimizerConfig,
     OptimizerState,
     StaleStateError,
+    _power_norm,
     build_delta_system,
     mismatched_optimize,
     optimal_precoder,
     precoder_residual,
     random_baseline,
     saris_optimize,
-    scatter_inverse,
     smse,
     solve_delta,
     spectral_norm,
@@ -40,12 +40,11 @@ def initial_state(f, config):
     """Optimizer state at the starting point, without running the loop."""
     x = np.clip(config.initial_reactances(f.n_ris), *config.q_interval)
     loads = RisLoads(config.r0, x, config.q_interval)
-    g = scatter_inverse(f, loads)
-    h = end_to_end_channel(f, loads)
-    w = optimal_precoder(h, config.power, config.sigma_n2)
-    state = OptimizerState(W=w, loads=loads, G=g, g_norm=spectral_norm(g))
-    state._g_loads_x = loads.x.copy()
-    return state
+    ev = LoadEvaluation(f, loads)
+    w = optimal_precoder(ev.h, config.power, config.sigma_n2)
+    return OptimizerState(
+        W=w, loads=loads, evaluation=ev, g_norm=_power_norm(ev.solve, f.n_ris)[0]
+    )
 
 
 def test_smse_matches_bruteforce():
@@ -123,13 +122,22 @@ def test_spectral_norm_matches_dense():
     assert spectral_norm(np.zeros((3, 3), dtype=complex)) == 0.0
 
 
-def test_scatter_inverse_matches_dense():
+def test_load_evaluation_matches_dense_inverse():
     config = tiny_config()
     _, f = folded_scenario(config)
     loads = RisLoads(0.2, np.full(f.n_ris, -150.0), config.Q_interval)
-    g = scatter_inverse(f, loads)
-    s = f.Z_SS + f.Z_SOS + loads.matrix()
-    assert np.linalg.norm(g @ s - np.eye(f.n_ris)) < 1e-12
+    ev = LoadEvaluation(f, loads)
+    g = np.linalg.inv(f.Z_SS + f.Z_SOS + loads.matrix())
+
+    def rel_err(got, want):
+        return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+    # The channel solve S^-1 Z_SOT Z_TG and the transposed solve u = v S^-1.
+    assert rel_err(ev.a_mat, g @ (f.Z_SOT @ f.Z_TG)) <= 1e-12
+    v = f.Z_RL @ f.Z_ROS
+    assert rel_err(ev.solve(v.T, 1).T, v @ g) <= 1e-12
+    # The power iteration on the LU factors gives ||S^-1||.
+    assert_allclose(_power_norm(ev.solve, f.n_ris)[0], np.linalg.norm(g, 2), rtol=1e-5)
 
 
 def test_linearization_is_exact_at_zero_step():
