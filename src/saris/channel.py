@@ -116,9 +116,8 @@ def _guarded_lu(a: np.ndarray, name: str):
 
 
 def _lu_solve(factors, b: np.ndarray, trans: int = 0) -> np.ndarray:
-    """Solve a x = b (trans=0), a^T x = b (trans=1) or a^H x = b (trans=2)
-    with the factors of _guarded_lu through LAPACK getrs, which skips the
-    per-call input checks of scipy.linalg.lu_solve."""
+    """a^-1 b, a^-T b or a^-H b for trans 0, 1, 2 from _guarded_lu factors;
+    LAPACK getrs directly skips the per-call checks of scipy's lu_solve."""
     lu, piv = factors
     getrs = get_lapack_funcs("getrs", (lu, b))
     x, _ = getrs(lu, piv, b, trans=trans)
@@ -172,14 +171,10 @@ def scatter_matrix(f: FoldedChannel, loads: RisLoads) -> np.ndarray:
 
 
 class LoadEvaluation:
-    """The folded channel at one load setting, from one guarded LU of
-    S = Z_SS + Z_SOS + Z_RIS.
-
-    The channel is H = H_d + h_ris with h_ris = -v S^-1 (Z_SOT Z_TG) and
-    v = Z_RL Z_ROS; a_mat holds S^-1 (Z_SOT Z_TG). Every other use of S^-1
-    (load sensitivities, the spectral norm of S^-1) goes through solve, so
-    the inverse is never formed. The loads the factors belong to ride along.
-    """
+    """The channel h = H_d + h_ris at one load setting, from one guarded LU of
+    S = Z_SS + Z_SOS + Z_RIS: h_ris = -v a_mat with v = Z_RL Z_ROS and
+    a_mat = S^-1 Z_SOT Z_TG. Other uses of S^-1 go through solve, so the
+    inverse is never formed."""
 
     def __init__(self, f: FoldedChannel, loads: RisLoads):
         if loads.n != f.n_ris:

@@ -189,12 +189,9 @@ def _canonical_pair(a: Dipole, b: Dipole) -> tuple[Dipole, Dipole]:
 
 
 def _pair_separations(dipoles: list[Dipole], iu, ju) -> np.ndarray:
-    """Horizontal separations of the element pairs (dipoles[iu], dipoles[ju]).
-
-    Raises GeometryError if two of these distinct dipoles have centers closer
-    than the sum of their wire radii, or wire bodies that intersect (collinear
-    with overlapping axial extents).
-    """
+    """Horizontal separations of the pairs (dipoles[iu], dipoles[ju]); raises
+    GeometryError if two of these distinct dipoles overlap or their wire bodies
+    intersect (collinear with overlapping axial extents)."""
     pos = np.array([d.position for d in dipoles])
     radii = np.array([d.wire_radius for d in dipoles])
     half = np.array([d.half_length for d in dipoles])
@@ -237,7 +234,7 @@ def mutual_impedance(a: Dipole, b: Dipole, wavelength: float, order: int = DEFAU
     if a.same_geometry(b):
         rho = max(a.wire_radius, b.wire_radius)
     else:
-        rho = float(_pair_separations([a, b], np.array([0]), np.array([1]))[0])
+        rho = float(_pair_separations([a, b], [0], [1])[0])
     z = _impedance_batch(
         np.array([rho]),
         src.position[2],

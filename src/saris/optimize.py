@@ -66,11 +66,7 @@ class OptimizerConfig:
 
 @dataclass
 class OptimizerState:
-    """Carrier of one optimization run: current iterate plus its history.
-
-    evaluation holds the channel and the LU factors at the current loads;
-    g_norm is the spectral norm of the inverse S^-1 those factors apply.
-    """
+    """Carrier of one optimization run: current iterate plus its history."""
 
     W: np.ndarray
     loads: RisLoads
@@ -79,9 +75,9 @@ class OptimizerState:
     rate_trace: list[float] = field(default_factory=list)
     iteration: int = 0
     converged: bool = False
-    g_norm: float = 0.0
+    g_norm: float = 0.0  # ||S^-1|| for the S that evaluation factors
     # Per-iteration diagnostics used by the acceptance checks. guard_trace
-    # holds max|delta_n| * ||S^-1|| of the applied step; halving_trace counts how
+    # holds max|delta_n| * g_norm of the applied step; halving_trace counts how
     # often the step was halved to keep the objective non-increasing.
     guard_trace: list[float] = field(default_factory=list)
     halving_trace: list[int] = field(default_factory=list)
@@ -127,9 +123,7 @@ def sum_rate(H: np.ndarray, W: np.ndarray, sigma_n2: float) -> float:
 
 
 def _precoder_solve(H: np.ndarray, power: float, sigma_n2: float):
-    """Regularized closed-form precoder scaled to the full power budget, and
-    the residual of the normal equations it solves relative to the channel
-    norm; returns (precoder, residual)."""
+    """(optimal_precoder, precoder_residual) from one solve."""
     l_rx, m_tx = H.shape
     if not np.any(H):
         raise DegenerateChannelError("channel matrix is zero")
@@ -152,11 +146,9 @@ def precoder_residual(H: np.ndarray, power: float, sigma_n2: float) -> float:
 
 
 def _power_norm(apply, n: int, tol: float = 1e-6, max_iter: int = 200, v0=None):
-    """Spectral norm of an n x n operator A by power iteration on A^H A.
-
-    apply(v, trans) returns A v for trans=0 and A^H v for trans=2. Returns
-    (norm, vector) so callers can warm-start the next estimate.
-    """
+    """Spectral norm of an n x n operator by power iteration; apply(v, trans)
+    returns A v for trans=0 and A^H v for trans=2. Returns (norm, vector) so
+    callers can warm-start the next estimate."""
     if n == 0:
         return 0.0, np.zeros(0, dtype=complex)
     if v0 is None or not np.any(v0):
@@ -183,16 +175,15 @@ def _power_norm(apply, n: int, tol: float = 1e-6, max_iter: int = 200, v0=None):
 
 def spectral_norm(a: np.ndarray, tol: float = 1e-6, max_iter: int = 200) -> float:
     """Spectral norm of a dense square matrix by power iteration."""
-    return _power_norm(lambda v, trans: (a.conj().T if trans else a) @ v, len(a), tol, max_iter)[0]
+    return _power_norm(lambda v, t: (a.conj().T if t else a) @ v, len(a), tol, max_iter)[0]
 
 
 def build_delta_system(f: FoldedChannel, state: OptimizerState) -> DeltaStep:
     """Per-user factors of the channel linearized at the current loads.
 
-    The sensitivity rows are u_l[n] * (S^-1 Z_SOT Z_TG)[n] with u = v S^-1,
-    taken from one transposed solve with the factors of state.evaluation.
-    Raises StaleStateError if state.evaluation belongs to different loads
-    than state currently holds.
+    The sensitivity rows need u = v S^-1 (see LoadEvaluation): one transposed
+    solve with the factors of state.evaluation. Raises StaleStateError if
+    state.evaluation belongs to other loads than state currently holds.
     """
     ev = state.evaluation
     if not np.array_equal(ev.loads.x, state.loads.x):
@@ -250,11 +241,8 @@ def saris_optimize(f: FoldedChannel, config: OptimizerConfig) -> OptimizerState:
     non-increasing by construction; a step halved to nothing means the current
     point is as good as this direction gets, which counts as convergence.
 
-    The regularized precoder is not the exact SMSE minimizer, so re-matching
-    it to new loads can raise the objective; inside the loop a re-matched
-    precoder that would raise it above the last trace entry is discarded and
-    the previous one kept.
-
+    The regularized precoder is not the exact SMSE minimizer, so inside the
+    loop a re-matched precoder that would raise the objective is discarded.
     After the loop the precoder is matched to the final loads once more,
     unconditionally, so state.W, final_smse, and final_sum_rate describe a
     coherent matched pair; final_smse is not a trace entry.
