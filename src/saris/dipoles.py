@@ -4,27 +4,23 @@ Every radiating element in the simulator (transmit antenna, receive antenna,
 RIS cell, environmental scatterer) is a loaded wire dipole carrying a single
 sinusoidal current mode. Coupling between any two elements is computed by the
 induced-EMF method: the field of one sinusoidal filament is integrated against
-the current of the other. The kernel is evaluated by composite Gauss-Legendre
-quadrature with panels graded toward the near-singular points, which keeps the
-assembly of large impedance matrices vectorized and fast.
+the current of the other. For parallel dipoles that integral has an exact
+closed form in sine and cosine integrals, which serves every pair: self terms,
+side-by-side, staggered, unequal and collinear ones, tips touching included.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
 # Free-space wave impedance in ohms.
 ETA0 = 376.730313668
 
-DEFAULT_ORDER = 16
-
-# Horizontal separations below this many test half-lengths get graded panels.
-_NEAR_FACTOR = 2.0
-_PANEL_RATIO = 4.0
+# Pairs per kernel call in assembly; bounds its working set to a few MB.
+_PAIRS_PER_CALL = 4096
 
 
 class GeometryError(ValueError):
@@ -78,106 +74,64 @@ class Dipole:
         )
 
 
-@lru_cache(maxsize=32)
-def _leggauss(order: int):
-    return np.polynomial.legendre.leggauss(order)
+def _coupling(rho, z_src, h_src, z_tst, h_tst, wavelength) -> np.ndarray:
+    """Induced-EMF impedance of (source, test) dipole pairs in closed form.
 
-
-def _graded_edges(lo, hi, kink, crit, scale):
-    """Panel edges on [lo, hi]: split at the current kink and lay geometric
-    ladders around each near-singular point so that quadrature resolves the
-    boundary layer of width ~scale."""
-    pts = {lo, hi}
-    if lo < kink < hi:
-        pts.add(kink)
-    for c in crit:
-        if c < lo - scale or c > hi + scale:
-            continue
-        for sgn in (1.0, -1.0):
-            step = scale
-            limit = hi - lo
-            while step < limit:
-                x = c + sgn * step
-                if lo < x < hi:
-                    pts.add(x)
-                step *= _PANEL_RATIO
-    edges = np.array(sorted(pts))
-    # Merge panels that collapsed to rounding width.
-    keep = np.concatenate(([True], np.diff(edges) > 1e-9 * (hi - lo)))
-    edges = edges[keep]
-    if edges[-1] != hi:
-        edges[-1] = hi
-    return edges
-
-
-def _panel_nodes(edges, order):
-    x, w = _leggauss(order)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return nodes, weights
-
-
-def _kernel_batch(rho, zc_src, h_src, zc_tst, h_tst, k, nodes, weights):
-    """Induced-EMF integral for a batch of horizontal separations sharing the
-    same axial geometry. rho is a 1-D array; returns complex impedances."""
-    z = nodes[None, :]
-    r = rho[:, None]
-    coskh = np.cos(k * h_src)
-    cur = np.sin(k * (h_tst - np.abs(nodes - zc_tst))) * weights
-
-    d1 = z - (zc_src + h_src)
-    rr = np.sqrt(r * r + d1 * d1)
-    acc = np.exp(-1j * k * rr) / rr
-    d2 = z - (zc_src - h_src)
-    rr = np.sqrt(r * r + d2 * d2)
-    acc += np.exp(-1j * k * rr) / rr
-    d0 = z - zc_src
-    rr = np.sqrt(r * r + d0 * d0)
-    acc -= (2.0 * coskh) * np.exp(-1j * k * rr) / rr
-
-    integral = acc @ cur
-    pref = 1j * ETA0 / (4.0 * np.pi * np.sin(k * h_src) * np.sin(k * h_tst))
-    return pref * integral
-
-
-def _impedance_batch(rho, zc_src, h_src, zc_tst, h_tst, wavelength, order):
-    """Dispatch a batch of pair separations to far or graded quadrature grids.
-
-    Separations are sorted so that chunks share a grading scale; results come
-    back in input order.
+    Arguments are equal-length arrays, one entry per pair; rho is the
+    horizontal separation, or the wire radius for a self term. The source's
+    field is three spherical waves e^{-jkR}/R, from its tips and centre; each
+    integrates against the e^{+-jkt} parts of the test current to exponential
+    integrals E1(jk(R -+ t)) of the axial offset t (Carter 1932; Baker and
+    LaGrone 1962).
     """
-    rho = np.atleast_1d(np.asarray(rho, dtype=float))
-    k = 2.0 * np.pi / wavelength
-    for h in (h_src, h_tst):
-        if abs(np.sin(k * h)) < 1e-6:
-            raise ValueError(
-                "dipole half-length at a multiple of wavelength/2: sinusoidal "
-                "current mode is degenerate"
-            )
-    lo, hi = zc_tst - h_tst, zc_tst + h_tst
-    crit = (zc_src - h_src, zc_src, zc_src + h_src)
-    out = np.empty(rho.shape, dtype=complex)
+    # Deferred: loading scipy.special adds ~75 ms to `import saris.cli`.
+    from scipy.special import sici
 
-    near_limit = _NEAR_FACTOR * h_tst
-    near = rho < near_limit
-    if np.any(~near):
-        edges = _graded_edges(lo, hi, zc_tst, (), 0.0)
-        nodes, weights = _panel_nodes(edges, 2 * order)
-        idx = np.flatnonzero(~near)
-        out[idx] = _kernel_batch(rho[idx], zc_src, h_src, zc_tst, h_tst, k, nodes, weights)
-    if np.any(near):
-        idx = np.flatnonzero(near)
-        idx = idx[np.argsort(rho[idx], kind="stable")]
-        for chunk in np.array_split(idx, max(1, idx.size // 4096)):
-            scale = max(float(rho[chunk[0]]), 1e-5 * h_tst)
-            edges = _graded_edges(lo, hi, zc_tst, crit, scale)
-            nodes, weights = _panel_nodes(edges, order)
-            out[chunk] = _kernel_batch(
-                rho[chunk], zc_src, h_src, zc_tst, h_tst, k, nodes, weights
-            )
-    return out
+    k = 2.0 * np.pi / wavelength
+    sin_src, sin_tst = np.sin(k * h_src), np.sin(k * h_tst)
+    if np.any(np.abs(sin_src) < 1e-6) or np.any(np.abs(sin_tst) < 1e-6):
+        raise ValueError(
+            "dipole half-length at a multiple of wavelength/2: sinusoidal "
+            "current mode is degenerate"
+        )
+    # t[i, e]: offset of test point e (lower tip, centre, upper tip) above
+    # wave origin i (source upper tip, lower tip, centre).
+    origins = np.stack([z_src + h_src, z_src - h_src, z_src])
+    points = np.stack([z_tst - h_tst, z_tst, z_tst + h_tst])
+    t = points - origins[:, None]
+    far = np.hypot(rho, t) + np.abs(t)
+    near = np.divide(rho**2, far, out=np.zeros_like(far), where=far > 0)
+    # x[0] = k(R - t) and x[1] = k(R + t), both free of cancellation.
+    x = k * np.where(t >= 0, np.stack([near, far]), np.stack([far, near]))
+
+    # E1(jx) = -gamma - ln x + Cin(x) + j(Si(x) - pi/2); constants cancel
+    # between end points. At rho = 0, x is 0 on one side of an origin, where
+    # Cin + jSi is 0 and ln x is never used (0 stands in for it).
+    pos = x > 0
+    safe = np.where(pos, x, 1.0)
+    si, ci = sici(safe)
+    log_x = np.where(pos, np.log(safe), 0.0)
+    cin_si = np.where(pos, np.euler_gamma + log_x - ci + 1j * si, 0.0)
+
+    # The test current on its lower (sigma = 1) and upper (sigma = -1) half
+    # is sin(sigma k (t - d)), d the tip's offset; each of its e^{+-jkt}
+    # parts integrates to [E1(jk(R -+ t))] over the half.
+    sigma = np.array([[1.0], [-1.0]])
+    d = t[:, ::2]
+    cos_d, sin_d = np.cos(k * d), np.sin(k * d)
+    step = np.diff(cin_si, axis=2)
+    exp_part = sigma / 2j * ((cos_d - 1j * sin_d) * step[0] + (cos_d + 1j * sin_d) * step[1])
+    # The logs sum to -sigma sin(kd) [ln(R + t)] = sigma sin(kd) [ln(R - t)],
+    # as ln(R + t) + ln(R - t) = 2 ln rho. The form that is finite on the
+    # half's side of the origin keeps rho = 0 finite; at touching tips its
+    # one ln 0 meets sin(kd) = 0.
+    above = t[:, :2] + t[:, 1:] >= 0
+    log_step = np.diff(log_x, axis=2)
+    log_part = sigma * sin_d * np.where(above, -log_step[1], log_step[0])
+
+    waves = (exp_part + log_part).sum(axis=1)
+    integral = waves[0] + waves[1] - 2.0 * np.cos(k * h_src) * waves[2]
+    return 1j * ETA0 / (4.0 * np.pi * sin_src * sin_tst) * integral
 
 
 def _canonical_pair(a: Dipole, b: Dipole) -> tuple[Dipole, Dipole]:
@@ -221,7 +175,7 @@ def _pair_separations(dipoles: list[Dipole], iu, ju) -> np.ndarray:
     return rho
 
 
-def mutual_impedance(a: Dipole, b: Dipole, wavelength: float, order: int = DEFAULT_ORDER) -> complex:
+def mutual_impedance(a: Dipole, b: Dipole, wavelength: float) -> complex:
     """Mutual impedance in ohms between two z-aligned dipoles.
 
     If a and b describe the same element, the self-impedance is returned with
@@ -235,14 +189,13 @@ def mutual_impedance(a: Dipole, b: Dipole, wavelength: float, order: int = DEFAU
         rho = max(a.wire_radius, b.wire_radius)
     else:
         rho = float(_pair_separations([a, b], [0], [1])[0])
-    z = _impedance_batch(
+    z = _coupling(
         np.array([rho]),
-        src.position[2],
-        src.half_length,
-        tst.position[2],
-        tst.half_length,
+        np.array([src.position[2]]),
+        np.array([src.half_length]),
+        np.array([tst.position[2]]),
+        np.array([tst.half_length]),
         wavelength,
-        order,
     )
     return complex(z[0])
 
@@ -369,14 +322,13 @@ def assemble_impedances(
     z_g=50.0,
     z_l=50.0,
     z_us=0.0,
-    order: int = DEFAULT_ORDER,
 ) -> ImpedanceSet:
     """Build the block impedance structure for a full deployment.
 
     Dipoles may arrive in any order; they are grouped by role with ordering
-    preserved inside each role. Pairwise entries with identical axial geometry
-    are evaluated in vectorized batches, which is what makes Monte-Carlo
-    assembly of a few hundred elements tractable.
+    preserved inside each role. Entries on and above the diagonal go through
+    the closed-form kernel in fixed-size vectorized slices, each pair with the
+    source/test roles that `mutual_impedance` gives it.
     """
     groups: dict[Role, list[Dipole]] = {role: [] for role in Role}
     for dip in dipoles:
@@ -396,52 +348,25 @@ def assemble_impedances(
     n = len(groups[Role.RIS_CELL])
     kk = len(ordered)
 
-    seen: dict[tuple, int] = {}
-    for i, d in enumerate(ordered):
-        if d.position in seen:
-            raise GeometryError(
-                f"duplicate dipole position {d.position} (elements {seen[d.position]} and {i})"
-            )
-        seen[d.position] = i
-
+    length = np.array([d.length for d in ordered])
+    zc = np.array([d.position[2] for d in ordered])
+    radius = np.array([d.wire_radius for d in ordered])
+    iu, ju = np.triu_indices(kk)
+    off = iu != ju
+    rho = radius[iu]
+    rho[off] = _pair_separations(ordered, iu[off], ju[off])
+    # The _canonical_pair rule: the larger (length, z, radius) key is the source.
+    rank = np.empty(kk, dtype=int)
+    rank[np.lexsort((radius, zc, length))] = np.arange(kk)
+    src = np.where(rank[iu] >= rank[ju], iu, ju)
+    tst = np.where(rank[iu] >= rank[ju], ju, iu)
     full = np.empty((kk, kk), dtype=complex)
-
-    # Diagonal: self-impedances batched by (half-length, z-center, radius).
-    diag_groups: dict[tuple, list[int]] = {}
-    for i, d in enumerate(ordered):
-        key = (d.half_length, d.position[2], d.wire_radius)
-        diag_groups.setdefault(key, []).append(i)
-    for (h, zc, radius), idx in diag_groups.items():
-        z_self = _impedance_batch(
-            np.full(len(idx), radius), zc, h, zc, h, wavelength, order
+    for lo in range(0, iu.size, _PAIRS_PER_CALL):
+        p = slice(lo, lo + _PAIRS_PER_CALL)
+        i, j, s, t = iu[p], ju[p], src[p], tst[p]
+        full[i, j] = full[j, i] = _coupling(
+            rho[p], zc[s], 0.5 * length[s], zc[t], 0.5 * length[t], wavelength
         )
-        full[idx, idx] = z_self
-
-    # Off-diagonal: batch pairs by canonical axial geometry. Elements fall
-    # into a handful of (half-length, z-center, radius) classes, so pair
-    # grouping is done on class codes instead of per-pair Python work.
-    iu, ju = np.triu_indices(kk, k=1)
-    keys = sorted({(d.half_length, d.position[2], d.wire_radius) for d in ordered})
-    key_rank = {key: rank for rank, key in enumerate(keys)}
-    ranks = np.array(
-        [key_rank[(d.half_length, d.position[2], d.wire_radius)] for d in ordered]
-    )
-
-    rho_all = _pair_separations(ordered, iu, ju)
-
-    ri, rj = ranks[iu], ranks[ju]
-    src_rank = np.maximum(ri, rj)
-    tst_rank = np.minimum(ri, rj)
-    codes = src_rank * len(keys) + tst_rank
-    for code in np.unique(codes):
-        pidx = np.flatnonzero(codes == code)
-        h_src, zc_src, _ = keys[int(code) // len(keys)]
-        h_tst, zc_tst, _ = keys[int(code) % len(keys)]
-        vals = _impedance_batch(
-            rho_all[pidx], zc_src, h_src, zc_tst, h_tst, wavelength, order
-        )
-        full[iu[pidx], ju[pidx]] = vals
-        full[ju[pidx], iu[pidx]] = vals
 
     zset = ImpedanceSet(
         Z_TT=full[:m, :m].copy(),
