@@ -47,6 +47,9 @@ class RisLoads:
         lo, hi = self.q_interval
         if not lo <= hi:
             raise ValueError(f"empty reactance interval [{lo}, {hi}]")
+        # Comparisons with NaN are false, so the range checks below pass it.
+        if not np.isfinite(self.r0) or not np.all(np.isfinite(self.x)):
+            raise ValueError("load resistance and reactances must be finite")
         if self.r0 < 0:
             raise ValueError(f"load resistance must be non-negative, got {self.r0}")
         if self.x.size and (self.x.min() < lo or self.x.max() > hi):

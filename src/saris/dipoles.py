@@ -7,6 +7,11 @@ induced-EMF method: the field of one sinusoidal filament is integrated against
 the current of the other. For parallel dipoles that integral has an exact
 closed form in sine and cosine integrals, which serves every pair: self terms,
 side-by-side, staggered, unequal and collinear ones, tips touching included.
+
+The form's coefficients depend only on a pair's axial geometry (the height
+offset and the two lengths), so they are computed once per geometry and each
+pair evaluates just the integrals at its geometry's distinct axial offsets:
+six for dipoles side by side with equal lengths, at most eighteen.
 """
 
 from __future__ import annotations
@@ -19,7 +24,8 @@ import numpy as np
 # Free-space wave impedance in ohms.
 ETA0 = 376.730313668
 
-# Pairs per kernel call in assembly; bounds its working set to a few MB.
+# Pairs per kernel call in assembly. It bounds the working set to a few MB,
+# and the call's geometry table to the distinct geometries among these pairs.
 _PAIRS_PER_CALL = 4096
 
 
@@ -74,15 +80,18 @@ class Dipole:
         )
 
 
-def _coupling(rho, z_src, h_src, z_tst, h_tst, wavelength) -> np.ndarray:
+def _coupling(rho, cls, dz, h_src, h_tst, wavelength) -> np.ndarray:
     """Induced-EMF impedance of (source, test) dipole pairs in closed form.
 
-    Arguments are equal-length arrays, one entry per pair; rho is the
-    horizontal separation, or the wire radius for a self term. The source's
-    field is three spherical waves e^{-jkR}/R, from its tips and centre; each
-    integrates against the e^{+-jkt} parts of the test current to exponential
-    integrals E1(jk(R -+ t)) of the axial offset t (Carter 1932; Baker and
-    LaGrone 1962).
+    rho and cls have one entry per pair: rho is the horizontal separation, or
+    the wire radius for a self term, and cls the pair's row in the geometry
+    table dz, h_src, h_tst (test centre height above the source centre, and
+    the two half-lengths). The source's field is three spherical waves
+    e^{-jkR}/R, from its tips and centre; each integrates against the
+    e^{+-jkt} parts of the test current to exponential integrals
+    E1(jk(R -+ t)) of the axial offset t (Carter 1932; Baker and LaGrone
+    1962). Their coefficients depend on the row alone, so a pair evaluates
+    only the integrals at its row's distinct |t| and sums them in fixed order.
     """
     # Deferred: loading scipy.special adds ~75 ms to `import saris.cli`.
     from scipy.special import sici
@@ -94,44 +103,92 @@ def _coupling(rho, z_src, h_src, z_tst, h_tst, wavelength) -> np.ndarray:
             "dipole half-length at a multiple of wavelength/2: sinusoidal "
             "current mode is degenerate"
         )
-    # t[i, e]: offset of test point e (lower tip, centre, upper tip) above
+    # t[g, i, e]: offset of test point e (lower tip, centre, upper tip) above
     # wave origin i (source upper tip, lower tip, centre).
-    origins = np.stack([z_src + h_src, z_src - h_src, z_src])
-    points = np.stack([z_tst - h_tst, z_tst, z_tst + h_tst])
-    t = points - origins[:, None]
-    far = np.hypot(rho, t) + np.abs(t)
-    near = np.divide(rho**2, far, out=np.zeros_like(far), where=far > 0)
-    # x[0] = k(R - t) and x[1] = k(R + t), both free of cancellation.
-    x = k * np.where(t >= 0, np.stack([near, far]), np.stack([far, near]))
+    origins = np.stack([h_src, -h_src, np.zeros_like(h_src)], axis=1)
+    points = np.stack([dz - h_tst, dz, dz + h_tst], axis=1)
+    t = points[:, None, :] - origins[:, :, None]
 
-    # E1(jx) = -gamma - ln x + Cin(x) + j(Si(x) - pi/2); constants cancel
-    # between end points. At rho = 0, x is 0 on one side of an origin, where
-    # Cin + jSi is 0 and ln x is never used (0 stands in for it).
-    pos = x > 0
-    safe = np.where(pos, x, 1.0)
-    si, ci = sici(safe)
-    log_x = np.where(pos, np.log(safe), 0.0)
-    cin_si = np.where(pos, np.euler_gamma + log_x - ci + 1j * si, 0.0)
+    # Each row's distinct |t| ascending, padded with its smallest at zero
+    # weight; col[g, i, e] is the column of |t[g, i, e]|.
+    abs_t = np.abs(t).reshape(dz.size, 9)
+    order = np.argsort(abs_t, axis=1)
+    sorted_t = np.take_along_axis(abs_t, order, axis=1)
+    rank = np.zeros_like(order)
+    rank[:, 1:] = np.cumsum(sorted_t[:, 1:] > sorted_t[:, :-1], axis=1)
+    n = rank[:, -1].max() + 1
+    col = np.empty_like(rank)
+    np.put_along_axis(col, order, rank, axis=1)
+    col = col.reshape(t.shape)
+    table = np.repeat(sorted_t[:, :1], n, axis=1)
+    np.put_along_axis(table, rank, sorted_t, axis=1)
+    # Columns 0..n-1 hold x = k(R - |t|), columns n..2n-1 hold k(R + |t|);
+    # which one is k(R - t) follows the sign of t.
+    neg = np.where(t >= 0, 0, n)
+    columns = np.stack([col + neg, col + n - neg])
 
     # The test current on its lower (sigma = 1) and upper (sigma = -1) half
     # is sin(sigma k (t - d)), d the tip's offset; each of its e^{+-jkt}
-    # parts integrates to [E1(jk(R -+ t))] over the half.
-    sigma = np.array([[1.0], [-1.0]])
-    d = t[:, ::2]
-    cos_d, sin_d = np.cos(k * d), np.sin(k * d)
-    step = np.diff(cin_si, axis=2)
-    exp_part = sigma / 2j * ((cos_d - 1j * sin_d) * step[0] + (cos_d + 1j * sin_d) * step[1])
+    # parts integrates to [E1(jk(R -+ t))] over the half. With the waves
+    # weighted 1, 1, -2 cos(kh_src) and the sum scaled by j eta / (4 pi sin
+    # sin), that is (s / 2) e^{-+jkd} [Cin + jSi] for a real s.
+    weight = np.ones((dz.size, 3))
+    weight[:, 2] = -2.0 * np.cos(k * h_src)
+    s = (ETA0 / (4.0 * np.pi * sin_src * sin_tst))[:, None, None] * weight[:, :, None] * [1.0, -1.0]
+    d = t[:, :, ::2]
+    half_cos, half_sin = 0.5 * s * np.cos(k * d), 0.5 * s * np.sin(k * d)
     # The logs sum to -sigma sin(kd) [ln(R + t)] = sigma sin(kd) [ln(R - t)],
     # as ln(R + t) + ln(R - t) = 2 ln rho. The form that is finite on the
     # half's side of the origin keeps rho = 0 finite; at touching tips its
     # one ln 0 meets sin(kd) = 0.
-    above = t[:, :2] + t[:, 1:] >= 0
-    log_step = np.diff(log_x, axis=2)
-    log_part = sigma * sin_d * np.where(above, -log_step[1], log_step[0])
+    above = t[:, :, :2] + t[:, :, 1:] >= 0
+    log_minus = np.where(above, 0.0, 2.0 * half_sin)
+    log_plus = np.where(above, -2.0 * half_sin, 0.0)
 
-    waves = (exp_part + log_part).sum(axis=1)
-    integral = waves[0] + waves[1] - 2.0 * np.cos(k * h_src) * waves[2]
-    return 1j * ETA0 / (4.0 * np.pi * sin_src * sin_tst) * integral
+    def at_points(v):
+        """Per-half values onto the test points: minus at a half's lower end,
+        plus at its upper end."""
+        return np.concatenate([-v[:, :, :1], v[:, :, :1] - v[:, :, 1:], v[:, :, 1:]], axis=2)
+
+    # For k(R - t) and k(R + t) at each point: the real and imaginary
+    # coefficients of Cin + jSi, and the imaginary ones of ln x, summed per
+    # column. bincount adds in input order, so a row's sums depend on it alone.
+    values = [
+        [at_points(half_cos), at_points(half_cos)],
+        [-at_points(half_sin), at_points(half_sin)],
+        [at_points(log_minus), at_points(log_plus)],
+    ]
+    bins = (columns * dz.size + np.arange(dz.size)[:, None, None]).ravel()
+    re_cin, im_cin, im_log = (
+        np.bincount(bins, np.ravel(v), 2 * n * dz.size).reshape(2 * n, dz.size) for v in values
+    )
+
+    # E1(jx) = -gamma - ln x + Cin(x) + j(Si(x) - pi/2); constants cancel
+    # between end points. R - |t| is taken as rho^2 / (R + |t|), free of
+    # cancellation. At rho = 0 it is 0, where Cin + jSi is 0 and ln x is
+    # never used (0 stands in for it).
+    abs_tp = np.take(table.T, cls, axis=1)
+    far = np.hypot(rho, abs_tp) + abs_tp
+    near = np.divide(rho**2, far, out=np.zeros_like(far), where=far > 0)
+    x = k * np.concatenate([near, far])
+    pos = x > 0
+    safe = np.where(pos, x, 1.0)
+    si, ci = sici(safe)
+    log_x = np.where(pos, np.log(safe), 0.0)
+    cin = np.where(pos, np.euler_gamma + log_x - ci, 0.0)
+    si = np.where(pos, si, 0.0)
+    # Each row's coefficients sum to zero, so values count relative to
+    # column 0: for distant pairs all x are close and these differences are
+    # exact. Real arithmetic and a fixed-order column sum keep a pair's
+    # result independent of the batch it shares, padded columns included.
+    d_cin, d_si, d_log = cin - cin[0], si - si[0], log_x - log_x[0]
+    a_re, a_im, b_im = (np.take(c, cls, axis=1) for c in (re_cin, im_cin, im_log))
+    re = a_re * d_cin - a_im * d_si
+    im = a_im * d_cin + a_re * d_si + b_im * d_log
+    z_re, z_im = re[0], im[0]
+    for r, i in zip(re[1:], im[1:]):
+        z_re, z_im = z_re + r, z_im + i
+    return z_re + 1j * z_im
 
 
 def _canonical_pair(a: Dipole, b: Dipole) -> tuple[Dipole, Dipole]:
@@ -191,9 +248,9 @@ def mutual_impedance(a: Dipole, b: Dipole, wavelength: float) -> complex:
         rho = float(_pair_separations([a, b], [0], [1])[0])
     z = _coupling(
         np.array([rho]),
-        np.array([src.position[2]]),
+        np.array([0]),
+        np.array([tst.position[2] - src.position[2]]),
         np.array([src.half_length]),
-        np.array([tst.position[2]]),
         np.array([tst.half_length]),
         wavelength,
     )
@@ -360,12 +417,18 @@ def assemble_impedances(
     rank[np.lexsort((radius, zc, length))] = np.arange(kk)
     src = np.where(rank[iu] >= rank[ju], iu, ju)
     tst = np.where(rank[iu] >= rank[ju], ju, iu)
+    # A pair's axial geometry is fixed by the (z, length) kinds of its source
+    # and test; each slice's geometry table holds its distinct kind pairs.
+    kinds, kind = np.unique(np.stack([zc, length], axis=1), axis=0, return_inverse=True)
+    code = kind[src] * len(kinds) + kind[tst]
     full = np.empty((kk, kk), dtype=complex)
     for lo in range(0, iu.size, _PAIRS_PER_CALL):
         p = slice(lo, lo + _PAIRS_PER_CALL)
-        i, j, s, t = iu[p], ju[p], src[p], tst[p]
-        full[i, j] = full[j, i] = _coupling(
-            rho[p], zc[s], 0.5 * length[s], zc[t], 0.5 * length[t], wavelength
+        geometries, cls = np.unique(code[p], return_inverse=True)
+        s, t = np.divmod(geometries, len(kinds))
+        full[iu[p], ju[p]] = full[ju[p], iu[p]] = _coupling(
+            rho[p], cls, kinds[t, 0] - kinds[s, 0], 0.5 * kinds[s, 1], 0.5 * kinds[t, 1],
+            wavelength,
         )
 
     zset = ImpedanceSet(

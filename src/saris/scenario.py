@@ -79,6 +79,12 @@ class ScenarioConfig:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
         if math.isqrt(self.N) ** 2 != self.N:
             raise ValueError(f"N must be a perfect square, got {self.N}")
+        # The config text has no spelling for NaN or infinity.
+        for name in ("wavelength", "d", "R", "r", "p_BS", "p_RIS", "p_UE", "R0",
+                     "Q_interval", "Z_G", "Z_L", "Z_US", "P", "sigma_n2"):
+            value = getattr(self, name)
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         for name in ("wavelength", "d", "R", "r", "P", "sigma_n2"):
             value = getattr(self, name)
             if not value > 0:

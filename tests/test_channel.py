@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from saris.channel import (
@@ -34,6 +36,27 @@ def test_folded_blocks_match_dense_inverse():
         for name, ref in want.items():
             got = getattr(f, name)
             assert np.linalg.norm(got - ref) / scale < 1e-12, name
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 4),
+    l_rx=st.integers(1, 3),
+    n_eso=st.integers(0, 12),
+    n_ris=st.integers(1, 8),
+    z_us=st.sampled_from([0.0, 30.0 + 5.0j]),
+)
+def test_fold_identities_on_random_sets(seed, m, l_rx, n_eso, n_ris, z_us):
+    rng = np.random.default_rng(seed)
+    z = random_impedance_set(rng, m=m, l_rx=l_rx, n_eso=n_eso, n_ris=n_ris, z_us=z_us)
+    f = fold_esos(z)
+    scale = np.linalg.norm(z.full_matrix())
+    for name, ref in dense_folded_blocks(z).items():
+        assert np.linalg.norm(getattr(f, name) - ref) / scale < 1e-12, name
+    loads = random_loads(rng, n_ris)
+    ref = dense_oneshot_channel(z, loads)
+    assert np.linalg.norm(end_to_end_channel(f, loads) - ref) / np.linalg.norm(ref) < 1e-12
 
 
 def test_channel_matches_oneshot_inverse():
@@ -165,6 +188,16 @@ def test_loads_validation():
     assert_allclose(loads.z_diagonal, np.array([0.2 - 100j, 0.2 - 50j]))
     assert np.array_equal(loads.matrix(), np.diag(loads.z_diagonal))
     assert np.all(loads.matrix().real == np.where(np.eye(2, dtype=bool), 0.2, 0.0))
+
+
+@pytest.mark.parametrize(
+    "r0, x",
+    [(np.nan, [-100.0]), (np.inf, [-100.0]), (0.2, [-100.0, np.nan])],
+    ids=["nan-r0", "inf-r0", "nan-x"],
+)
+def test_loads_reject_non_finite_values(r0, x):
+    with pytest.raises(ValueError, match="finite"):
+        RisLoads(r0, np.array(x), Q_TABLE)
 
 
 def test_loads_size_mismatch_rejected():

@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -274,9 +277,31 @@ def test_sweep_rejects_bad_value(tmp_path, capsys):
     assert "egg" in capsys.readouterr().err
 
 
+def test_sweep_rejects_non_finite_value(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    code = run_cli(
+        "sweep", "--config", str(cfg), "--sweep", "R0", "--values", "0.2,nan",
+        "--out", str(tmp_path / "out"),
+    )
+    assert code == EXIT_CONFIG
+    assert "sweep value 'nan' for R0" in capsys.readouterr().err
+
+
 def test_sweep_rejects_unknown_variable(tmp_path):
     with pytest.raises(SystemExit):
         run_cli(
             "sweep", "--sweep", "Z_G", "--values", "1",
             "--out", str(tmp_path / "out"),
         )
+
+
+def test_cli_import_defers_scipy_special():
+    # Every `saris` command pays for `import saris.cli`. The coupling kernel
+    # loads scipy.special (~75 ms) on its first call, not at import.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, saris.cli; print('scipy.special' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

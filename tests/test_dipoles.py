@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from saris.dipoles import (
+    _PAIRS_PER_CALL,
     ETA0,
     Dipole,
     GeometryError,
@@ -227,7 +228,39 @@ def test_assembly_matches_pairwise_calls():
     )
     for i, a in enumerate(order):
         for j, b in enumerate(order):
-            assert_allclose(full[i, j], mutual_impedance(a, b, LAM), rtol=1e-12)
+            assert full[i, j] == mutual_impedance(a, b, LAM)
+
+
+def mixed_deployment():
+    """100 dipoles on a 10 x 10 grid at four heights and four lengths, plus a
+    collinear stack with touching tips: 5050 pairs, two assembly slices that
+    each hold many axial geometries."""
+    rng = np.random.default_rng(21)
+    heights = np.array([-0.3, 0.0, 0.2, 0.45]) * LAM
+    lengths = np.array([0.3, 0.4, 0.45, 0.5]) * LAM
+    roles = [Role.TRANSMITTER] * 3 + [Role.RECEIVER] * 2 + [Role.ESO] * 80 + [Role.RIS_CELL] * 13
+    dipoles = [
+        Dipole((0.3 * LAM * (i % 10), 0.3 * LAM * (i // 10), rng.choice(heights)),
+               rng.choice(lengths), RADIUS, role)
+        for i, role in enumerate(roles)
+    ]
+    base = (3.2 * LAM, 0.1 * LAM)
+    dipoles += [
+        Dipole((*base, 0.0), 0.4 * LAM, RADIUS, Role.ESO),
+        Dipole((*base, 0.45 * LAM), 0.5 * LAM, RADIUS, Role.ESO),
+    ]
+    return dipoles
+
+
+def test_mixed_geometry_assembly_is_bitwise_pairwise():
+    dipoles = mixed_deployment()
+    full = assemble_impedances(dipoles, LAM).full_matrix()
+    assert full.shape[0] * (full.shape[0] + 1) // 2 > _PAIRS_PER_CALL
+    order = [d for role in (Role.TRANSMITTER, Role.RECEIVER, Role.ESO, Role.RIS_CELL)
+             for d in dipoles if d.role == role]
+    pairwise = np.array([[mutual_impedance(a, b, LAM) for b in order] for a in order])
+    assert np.array_equal(full, pairwise)
+    assert np.array_equal(full, full.T)
 
 
 def test_assembly_ignores_input_interleaving():

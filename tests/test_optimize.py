@@ -334,6 +334,12 @@ def test_loop_honors_max_iter():
     assert len(state.smse_trace) == 4
 
 
+def test_nan_initial_reactance_is_rejected_as_bad_input():
+    _, f = folded_scenario(tiny_config())
+    with pytest.raises(ValueError, match="finite"):
+        saris_optimize(f, OptimizerConfig(x_init=np.nan))
+
+
 def test_loop_is_deterministic():
     _, _, a = run_tiny(max_iter=20)
     _, _, b = run_tiny(max_iter=20)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from saris.dipoles import GeometryError, Role
 from saris.scenario import (
@@ -188,6 +190,9 @@ def test_config_validation():
         ScenarioConfig(L=2, p_UE=((1.0, 1.0),))
     with pytest.raises(ValueError):
         ScenarioConfig(seed=-1)
+    for field, value in (("R0", np.nan), ("Z_G", np.inf), ("p_RIS", (0.0, np.nan))):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            ScenarioConfig(**{field: value})
 
 
 def test_default_ue_positions_extend_along_x():
@@ -214,6 +219,47 @@ def test_serialize_round_trips_exactly():
         ScenarioConfig(wavelength=0.125, Q_interval=(-40.0, 10.0), trials=7),
     ):
         assert parse_config(serialize_config(config)) == config
+
+
+def finite(**bounds):
+    return st.floats(allow_nan=False, allow_infinity=False, **bounds)
+
+
+@st.composite
+def scenario_configs(draw):
+    positive = finite(min_value=0.0, exclude_min=True)
+    point = st.tuples(finite(), finite())
+    l_users = draw(st.integers(1, 4))
+    lo, hi = draw(st.lists(finite(), min_size=2, max_size=2, unique=True).map(sorted))
+    return ScenarioConfig(
+        wavelength=draw(positive),
+        M=draw(st.integers(1, 64)),
+        L=l_users,
+        N=draw(st.integers(1, 32)) ** 2,
+        N_c=draw(st.integers(1, 16)),
+        N_O=draw(st.integers(1, 200)),
+        d=draw(positive),
+        R=draw(positive),
+        r=draw(positive),
+        p_BS=draw(point),
+        p_RIS=draw(point),
+        p_UE=tuple(draw(point) for _ in range(l_users)),
+        R0=draw(finite(min_value=0.0)),
+        Q_interval=(lo, hi),
+        Z_G=draw(finite()),
+        Z_L=draw(finite()),
+        Z_US=draw(finite()),
+        P=draw(positive),
+        sigma_n2=draw(positive),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        trials=draw(st.integers(1, 1000)),
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(config=scenario_configs())
+def test_serialize_round_trips_generated_configs(config):
+    assert parse_config(serialize_config(config)) == config
 
 
 def test_parse_defaults_and_comments():
