@@ -20,6 +20,8 @@ from saris.dipoles import ImpedanceSet
 
 COND_LIMIT = 1e12
 
+_getrf, _gecon, _getrs = get_lapack_funcs(("getrf", "gecon", "getrs"), dtype=np.complex128)
+
 
 class SingularBlockError(RuntimeError):
     """An impedance block is numerically singular."""
@@ -104,15 +106,15 @@ class FoldedChannel:
 
 def _guarded_lu(a: np.ndarray, name: str):
     """LU factors (lu, piv) of a square matrix, rejecting near-singular blocks
-    by a reciprocal condition estimate."""
+    by a reciprocal condition estimate. A Fortran-ordered complex `a` is
+    factored in place, so callers pass a temporary."""
     anorm = np.linalg.norm(a, 1)
     if not np.isfinite(anorm):
         raise SingularBlockError(name, np.inf)
-    getrf, gecon = get_lapack_funcs(("getrf", "gecon"), (a,))
     # An exactly singular factor (getrf info > 0) has rcond 0 and is reported
     # below as a typed error.
-    lu, piv, _ = getrf(a)
-    rcond, info = gecon(lu, anorm, norm="1")
+    lu, piv, _ = _getrf(a, overwrite_a=True)
+    rcond, info = _gecon(lu, anorm, norm="1")
     if info != 0 or rcond <= 0 or not np.isfinite(rcond) or 1.0 / rcond > COND_LIMIT:
         raise SingularBlockError(name, np.inf if rcond <= 0 else 1.0 / rcond)
     return lu, piv
@@ -122,8 +124,7 @@ def _lu_solve(factors, b: np.ndarray, trans: int = 0) -> np.ndarray:
     """a^-1 b, a^-T b or a^-H b for trans 0, 1, 2 from _guarded_lu factors;
     LAPACK getrs directly skips the per-call checks of scipy's lu_solve."""
     lu, piv = factors
-    getrs = get_lapack_funcs("getrs", (lu, b))
-    x, _ = getrs(lu, piv, b, trans=trans)
+    x, _ = _getrs(lu, piv, b, trans=trans)
     return x
 
 
@@ -144,7 +145,7 @@ def fold_esos(z: ImpedanceSet) -> FoldedChannel:
         y_sol = np.zeros((0, z.n_ris), dtype=complex)
     z_rot = z.Z_RT - z.Z_RO @ x_sol
     z_ros = z.Z_RO @ y_sol - z.Z_RS
-    z_sos = -(z.Z_SO @ y_sol)
+    z_sos = np.asfortranarray(-(z.Z_SO @ y_sol))
     z_sot = z.Z_SO @ x_sol - z.Z_ST
 
     zl_diag = np.diag(z.Z_L)
@@ -162,14 +163,15 @@ def fold_esos(z: ImpedanceSet) -> FoldedChannel:
         Z_RL=z_rl,
         Z_TG=z_tg,
         H_d=z_rl @ z_rot @ z_tg,
-        Z_SS=z.Z_SS.copy(),
+        Z_SS=np.array(z.Z_SS, order="F"),
     )
 
 
 def scatter_matrix(f: FoldedChannel, loads: RisLoads) -> np.ndarray:
-    """The load-dependent inner matrix Z_SS + Z_SOS + Z_RIS."""
-    s = f.Z_SS + f.Z_SOS
-    s = s + np.diag(loads.z_diagonal)
+    """The load-dependent inner matrix Z_SS + Z_SOS + Z_RIS, Fortran-ordered
+    as LAPACK wants it."""
+    s = np.add(f.Z_SS, f.Z_SOS, order="F")
+    s[np.diag_indices_from(s)] += loads.z_diagonal
     return s
 
 
@@ -209,12 +211,12 @@ def interaction_free(f: FoldedChannel, z: ImpedanceSet) -> FoldedChannel:
     return FoldedChannel(
         Z_ROT=f.Z_ROT,
         Z_ROS=-z.Z_RS,
-        Z_SOS=np.zeros((n, n), dtype=complex),
+        Z_SOS=np.zeros((n, n), dtype=complex, order="F"),
         Z_SOT=-z.Z_ST,
         Z_RL=f.Z_RL,
         Z_TG=f.Z_TG,
         H_d=f.H_d,
-        Z_SS=z.Z_SS.copy(),
+        Z_SS=np.array(z.Z_SS, order="F"),
     )
 
 

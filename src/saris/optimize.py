@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
 from saris.channel import (
     FoldedChannel,
@@ -23,6 +23,9 @@ from saris.channel import (
     interaction_free,
 )
 from saris.dipoles import ImpedanceSet
+
+_herk = get_blas_funcs("herk", dtype=np.complex128)
+_potrf, _potrs = get_lapack_funcs(("potrf", "potrs"), dtype=np.complex128)
 
 
 class DegenerateChannelError(ValueError):
@@ -145,6 +148,11 @@ def precoder_residual(H: np.ndarray, power: float, sigma_n2: float) -> float:
     return _precoder_solve(H, power, sigma_n2)[1]
 
 
+def _vec_norm(v: np.ndarray) -> float:
+    """Euclidean norm of a complex vector from one BLAS dot product."""
+    return np.sqrt(np.vdot(v, v).real)
+
+
 def _power_norm(apply, n: int, tol: float = 1e-6, max_iter: int = 200, v0=None):
     """Spectral norm of an n x n operator by power iteration; apply(v, trans)
     returns A v for trans=0 and A^H v for trans=2. Returns (norm, vector) so
@@ -154,15 +162,15 @@ def _power_norm(apply, n: int, tol: float = 1e-6, max_iter: int = 200, v0=None):
     if v0 is None or not np.any(v0):
         v = np.ones(n, dtype=complex) / np.sqrt(n)
     else:
-        v = v0 / np.linalg.norm(v0)
+        v = v0 / _vec_norm(v0)
     sigma = 0.0
     for _ in range(max_iter):
         av = apply(v, 0)
-        sigma_new = np.linalg.norm(av)
+        sigma_new = _vec_norm(av)
         if sigma_new == 0.0:
             return 0.0, v
         v = apply(av, 2)
-        v_norm = np.linalg.norm(v)
+        v_norm = _vec_norm(v)
         if v_norm == 0.0:
             return float(sigma_new), av / sigma_new
         v = v / v_norm
@@ -206,20 +214,34 @@ def solve_delta(ds: DeltaStep, W: np.ndarray, sigma_n2: float, g_norm: float) ->
     if not g_norm > 0:
         raise ValueError(f"g_norm must be positive, got {g_norm}")
     n = ds.h_bar_per_user[0].shape[0] - 1
+    if n == 0:
+        # BLAS and LAPACK wrappers reject empty operands.
+        ds.b = ds.delta_tilde = ds.delta = np.zeros(0, dtype=complex)
+        return ds.delta
     l_rx = len(ds.h_bar_per_user)
     ww_h = W @ W.conj().T
     b = np.zeros(n, dtype=complex)
-    gram = sigma_n2 * np.eye(n, dtype=complex)
     for l in range(l_rx):
         h_r = ds.h_bar_per_user[l][:-1]
         h_d_row = ds.h_bar_per_user[l][-1]
         b += h_r @ W[:, l] - h_r @ (ww_h @ h_d_row.conj())
-        t = h_r @ W
-        gram += t @ t.conj().T
-    delta_tilde = cho_solve(cho_factor(gram, lower=True), b)
+    # The normal matrix sigma^2 I + T T^H, T = [h_r,l W]_l (N x L^2), from one
+    # herk into the lower triangle of a Fortran-ordered buffer.
+    t = np.hstack([h_bar[:-1] @ W for h_bar in ds.h_bar_per_user])
+    gram = np.zeros((n, n), dtype=complex, order="F")
+    gram[np.diag_indices(n)] = sigma_n2
+    gram = _herk(1.0, t, beta=1.0, c=gram, lower=1, overwrite_c=1)
+    # A non-finite T or sigma^2 shows on the diagonal, which bounds every
+    # other entry of the normal matrix.
+    if not (np.isfinite(gram.diagonal()).all() and np.isfinite(b).all()):
+        raise ValueError("load system has non-finite entries")
+    chol, info = _potrf(gram, lower=1, clean=0, overwrite_a=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"load system is not positive definite (minor {info})")
+    delta_tilde, _ = _potrs(chol, b, lower=1)
     ds.b = b
     ds.delta_tilde = delta_tilde
-    peak = np.max(np.abs(delta_tilde)) if n else 0.0
+    peak = np.max(np.abs(delta_tilde))
     if peak == 0.0:
         ds.delta = np.zeros(n, dtype=complex)
     else:

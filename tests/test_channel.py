@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from saris.channel import (
     FoldedChannel,
+    LoadEvaluation,
     RisLoads,
     SingularBlockError,
     end_to_end_channel,
@@ -16,13 +18,16 @@ from saris.channel import (
     mismatched_channel,
     scatter_matrix,
 )
+from saris.optimize import OptimizerConfig, mismatched_optimize, saris_optimize
 
 from _helpers import (
     Q_TABLE,
     dense_folded_blocks,
     dense_oneshot_channel,
+    folded_scenario,
     random_impedance_set,
     random_loads,
+    tiny_config,
 )
 
 
@@ -240,3 +245,32 @@ def test_folding_does_not_mutate_input():
     end_to_end_channel(f, loads)
     mismatched_channel(f, z, loads)
     assert np.array_equal(z.full_matrix(), before)
+
+
+@pytest.mark.parametrize("model", ["full", "interaction_free"])
+def test_in_place_factors_match_lu_factor(model):
+    rng = np.random.default_rng(15)
+    z = random_impedance_set(rng, n_ris=9)
+    f = fold_esos(z)
+    if model == "interaction_free":
+        f = interaction_free(f, z)
+    loads = random_loads(rng, z.n_ris)
+    lu, piv = LoadEvaluation(f, loads)._lu
+    want_lu, want_piv = scipy.linalg.lu_factor(scatter_matrix(f, loads))
+    assert np.array_equal(lu, want_lu)
+    assert np.array_equal(piv, want_piv)
+
+
+def test_evaluation_and_optimizers_leave_blocks_untouched():
+    # The scatter matrix is factored in place; it must be a fresh buffer every
+    # time, never the stored blocks.
+    z, f = folded_scenario(tiny_config())
+    before = (z.full_matrix().copy(), f.Z_SS.copy(), f.Z_SOS.copy())
+    loads = RisLoads(0.2, np.full(f.n_ris, -150.0), Q_TABLE)
+    LoadEvaluation(f, loads)
+    opt = OptimizerConfig(epsilon=1e-10, max_iter=10)
+    saris_optimize(f, opt)
+    mismatched_optimize(f, z, opt)
+    after = (z.full_matrix(), f.Z_SS, f.Z_SOS)
+    for want, got in zip(before, after):
+        assert np.array_equal(got, want)

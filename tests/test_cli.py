@@ -12,10 +12,12 @@ import pytest
 
 from saris.channel import SingularBlockError
 from saris.cli import (
+    BLAS_THREAD_VARS,
     EXIT_CONFIG,
     EXIT_IO,
     EXIT_NUMERICAL,
     EXIT_OK,
+    _worker_pool,
     config_hash,
     exit_code_for,
     main,
@@ -147,6 +149,22 @@ def test_parallel_jobs_match_serial(tmp_path):
     ra = drop_column(*read_csv(serial / "runs.csv"), "wall_time_s")
     rb = drop_column(*read_csv(parallel / "runs.csv"), "wall_time_s")
     assert ra == rb
+
+
+def test_jobs_workers_pin_blas_threads(monkeypatch):
+    for name in BLAS_THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    with _worker_pool(2) as pool:
+        seen = [pool.submit(os.getenv, name).result(timeout=60) for name in BLAS_THREAD_VARS]
+    # Unset variables default to one thread; a value the user chose is kept.
+    assert dict(zip(BLAS_THREAD_VARS, seen)) == {
+        "OPENBLAS_NUM_THREADS": "1",
+        "OMP_NUM_THREADS": "3",
+        "MKL_NUM_THREADS": "1",
+    }
+    assert "OPENBLAS_NUM_THREADS" not in os.environ
+    assert "MKL_NUM_THREADS" not in os.environ
 
 
 def test_cli_seed_and_trials_override(tmp_path):

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from saris.channel import LoadEvaluation, RisLoads, end_to_end_channel
 from saris.optimize import (
     DegenerateChannelError,
+    DeltaStep,
     OptimizerConfig,
     OptimizerState,
     StaleStateError,
@@ -208,9 +209,14 @@ def test_delta_normalization_sits_on_trust_bound():
     assert abs(np.max(np.abs(delta)) * state.g_norm - 1.0) < 1e-12
 
 
-def test_delta_solve_matches_dense_system():
-    config = tiny_config()
-    _, f = folded_scenario(config)
+@pytest.mark.parametrize(
+    "overrides",
+    [dict(L=1), dict(L=2), dict(L=3, M=4), dict(N=64)],
+    ids=["L1", "L2", "L3", "N64"],
+)
+def test_delta_solve_matches_dense_system(overrides):
+    # T = [h_r,l W]_l has L^2 columns; the sizes check its stacking.
+    _, f = folded_scenario(tiny_config(**overrides))
     opt = OptimizerConfig()
     state = initial_state(f, opt)
     ds = build_delta_system(f, state)
@@ -233,17 +239,52 @@ def test_delta_solve_matches_dense_system():
     assert eigs.min() >= opt.sigma_n2 * (1 - 1e-9)
 
 
+def constant_delta_step(fill):
+    """N = 4 cells, L = 2 users, M = 3: every factor entry equals `fill`,
+    and the precoder is all ones."""
+    h_bars = [np.full((5, 3), fill, dtype=complex) for _ in range(2)]
+    return DeltaStep(h_bar_per_user=h_bars), np.ones((3, 2), dtype=complex)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("where", ["sensitivity", "channel_row", "sigma"])
+def test_delta_solve_rejects_non_finite_input(bad, where):
+    ds, w = constant_delta_step(1.0)
+    sigma_n2 = 1e-11
+    if where == "sensitivity":
+        ds.h_bar_per_user[1][2, 0] = bad
+    elif where == "channel_row":
+        ds.h_bar_per_user[0][-1, 1] = bad
+    else:
+        sigma_n2 = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        solve_delta(ds, w, sigma_n2, 1.0)
+
+
+def test_delta_solve_reports_indefinite_system():
+    # A negative regularizer with zero sensitivities leaves -I: potrf fails
+    # on the first leading minor.
+    ds, w = constant_delta_step(0.0)
+    with pytest.raises(np.linalg.LinAlgError, match="positive definite"):
+        solve_delta(ds, w, -1.0, 1.0)
+
+
 def test_delta_zero_rhs_returns_zero():
     n, m = 4, 2
     h_bars = [
         np.vstack([np.zeros((n, m), dtype=complex), np.ones((1, m), dtype=complex)])
     ]
-    from saris.optimize import DeltaStep
-
     ds = DeltaStep(h_bar_per_user=h_bars)
     delta = solve_delta(ds, np.ones((m, 1), dtype=complex), 1e-11, 1.0)
     assert not delta.any()
     assert delta.shape == (n,)
+
+
+def test_delta_solve_without_cells_returns_empty():
+    ds = DeltaStep(h_bar_per_user=[np.ones((1, 2), dtype=complex)])
+    delta = solve_delta(ds, np.ones((2, 1), dtype=complex), 1e-11, 1.0)
+    assert delta.shape == (0,)
 
 
 def test_stale_inverse_is_rejected():
