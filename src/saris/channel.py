@@ -11,7 +11,7 @@ same evaluation path so that model-gap comparisons are apples to apples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -50,7 +50,7 @@ class RisLoads:
         if not lo <= hi:
             raise ValueError(f"empty reactance interval [{lo}, {hi}]")
         # Comparisons with NaN are false, so the range checks below pass it.
-        if not np.isfinite(self.r0) or not np.all(np.isfinite(self.x)):
+        if not np.isfinite(self.r0) or not np.isfinite(self.x).all():
             raise ValueError("load resistance and reactances must be finite")
         if self.r0 < 0:
             raise ValueError(f"load resistance must be non-negative, got {self.r0}")
@@ -73,13 +73,17 @@ class RisLoads:
         return np.diag(self.z_diagonal)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FoldedChannel:
     """Channel quantities left after eliminating the ESO block.
 
     H_E2E(Z_RIS) = Z_RL [Z_ROT - Z_ROS (Z_SS + Z_SOS + Z_RIS)^-1 Z_SOT] Z_TG,
     and H_d = Z_RL Z_ROT Z_TG is the load-independent part. Z_SS rides along
     because every evaluation needs it next to Z_SOS.
+
+    The load-independent factors v = Z_RL Z_ROS and B = Z_SOT Z_TG of the
+    RIS term are formed once here. Their four source blocks are made
+    read-only and the fields cannot be rebound, so v and B never go stale.
     """
 
     Z_ROT: np.ndarray
@@ -90,6 +94,18 @@ class FoldedChannel:
     Z_TG: np.ndarray
     H_d: np.ndarray
     Z_SS: np.ndarray
+    v: np.ndarray = field(init=False, repr=False)
+    B: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        for block in (self.Z_ROS, self.Z_SOT, self.Z_RL, self.Z_TG):
+            block.flags.writeable = False
+        v = self.Z_RL @ self.Z_ROS
+        # Fortran order, so the solves against S copy it without transposing.
+        b = np.asfortranarray(self.Z_SOT @ self.Z_TG)
+        v.flags.writeable = b.flags.writeable = False
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "B", b)
 
     @property
     def l_rx(self) -> int:
@@ -171,15 +187,16 @@ def scatter_matrix(f: FoldedChannel, loads: RisLoads) -> np.ndarray:
     """The load-dependent inner matrix Z_SS + Z_SOS + Z_RIS, Fortran-ordered
     as LAPACK wants it."""
     s = np.add(f.Z_SS, f.Z_SOS, order="F")
-    s[np.diag_indices_from(s)] += loads.z_diagonal
+    # The diagonal as a strided view of the freshly made Fortran buffer.
+    s.reshape(-1, order="F")[:: len(s) + 1] += loads.z_diagonal
     return s
 
 
 class LoadEvaluation:
-    """The channel h = H_d + h_ris at one load setting, from one guarded LU of
-    S = Z_SS + Z_SOS + Z_RIS: h_ris = -v a_mat with v = Z_RL Z_ROS and
-    a_mat = S^-1 Z_SOT Z_TG. Other uses of S^-1 go through solve, so the
-    inverse is never formed."""
+    """The channel h = H_d - v a_mat at one load setting, from one guarded LU
+    of S = Z_SS + Z_SOS + Z_RIS, with v = Z_RL Z_ROS and a_mat = S^-1 B,
+    B = Z_SOT Z_TG (both from the folded channel). Other uses of S^-1 go
+    through solve, so the inverse is never formed."""
 
     def __init__(self, f: FoldedChannel, loads: RisLoads):
         if loads.n != f.n_ris:
@@ -188,10 +205,9 @@ class LoadEvaluation:
         self._lu = (
             _guarded_lu(scatter_matrix(f, loads), "Z_SS + Z_SOS + Z_RIS") if loads.n else None
         )
-        self.v = f.Z_RL @ f.Z_ROS
-        self.a_mat = self.solve(f.Z_SOT @ f.Z_TG)
-        self.h_ris = -(self.v @ self.a_mat)
-        self.h = f.H_d + self.h_ris
+        self.v = f.v
+        self.a_mat = self.solve(f.B)
+        self.h = f.H_d - self.v @ self.a_mat
 
     def solve(self, b: np.ndarray, trans: int = 0) -> np.ndarray:
         """S^-1 b (trans=0), S^-T b (trans=1) or S^-H b (trans=2)."""

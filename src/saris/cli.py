@@ -237,9 +237,19 @@ def _requested_algos(token: str):
     return ALGOS if token == "all" else (token,)
 
 
+def _check_run_options(args, algos) -> None:
+    """Reject option values that would otherwise be ignored or fail only
+    after earlier realizations have run."""
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
+    if "random" in algos and args.baseline_trials < 1:
+        raise ConfigError(f"--baseline-trials must be at least 1, got {args.baseline_trials}")
+
+
 def cmd_run(args) -> int:
     config = _load_config(args)
     algos = _requested_algos(args.algo)
+    _check_run_options(args, algos)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     records = _execute_trials(
@@ -328,6 +338,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError("--values must list at least one value")
     points = [_sweep_value(config, var, token) for token in tokens]
     algos = _requested_algos(args.algo)
+    _check_run_options(args, algos)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -25,7 +25,7 @@ from saris.channel import (
 from saris.dipoles import ImpedanceSet
 
 _herk = get_blas_funcs("herk", dtype=np.complex128)
-_potrf, _potrs = get_lapack_funcs(("potrf", "potrs"), dtype=np.complex128)
+_gesv, _potrf, _potrs = get_lapack_funcs(("gesv", "potrf", "potrs"), dtype=np.complex128)
 
 
 class DegenerateChannelError(ValueError):
@@ -93,48 +93,66 @@ class OptimizerState:
 
 @dataclass
 class DeltaStep:
-    """Per-user linearized channel factors and the load-perturbation solve.
+    """The channel linearized at the current loads, and the load-perturbation
+    solve.
 
-    h_bar_per_user[l] stacks the N load-sensitivity rows on top of the
-    channel row at the expansion point ((N+1) x M). b, delta_tilde, and delta
-    are filled in by solve_delta.
+    Every load-sensitivity row of user l is u_l * a_mat (u = v S^-1, one row
+    per user, L x N; a_mat = S^-1 B, N x M; see LoadEvaluation), and h (L x M)
+    is the channel at the expansion point. b, delta_tilde, and delta are
+    filled in by solve_delta.
     """
 
-    h_bar_per_user: list[np.ndarray]
+    u: np.ndarray
+    a_mat: np.ndarray
+    h: np.ndarray
     b: np.ndarray | None = None
     delta_tilde: np.ndarray | None = None
     delta: np.ndarray | None = None
 
+    @property
+    def h_bar_per_user(self) -> list[np.ndarray]:
+        """Per user, the N sensitivity rows stacked on top of the channel row
+        ((N+1) x M); read-only, derived from u, a_mat and h."""
+        stacks = [np.vstack([u_l[:, None] * self.a_mat, h_l]) for u_l, h_l in zip(self.u, self.h)]
+        for stack in stacks:
+            stack.flags.writeable = False
+        return stacks
+
+
+def smse_and_rate(h: np.ndarray, W: np.ndarray, sigma_n2: float) -> tuple[float, float]:
+    """(smse, sum_rate) of channel h and precoder W from one product h W."""
+    e = h @ W
+    p = np.abs(e) ** 2
+    err = p.sum() - 2.0 * e.trace().real + h.shape[0] * (1.0 + sigma_n2)
+    desired = p.diagonal()
+    sinr = desired / (p.sum(axis=1) - desired + sigma_n2)
+    return float(err), float(np.log2(1.0 + sinr).sum())
+
 
 def smse(H_d: np.ndarray, H_ris: np.ndarray, W: np.ndarray, sigma_n2: float) -> float:
     """Sum MSE of all users for total channel H_d + H_ris and precoder W."""
-    h = H_d + H_ris
-    l_rx = h.shape[0]
-    e = h @ W
-    return float(
-        np.sum(np.abs(e) ** 2) - 2.0 * np.real(np.trace(e)) + l_rx * (1.0 + sigma_n2)
-    )
+    return smse_and_rate(H_d + H_ris, W, sigma_n2)[0]
 
 
 def sum_rate(H: np.ndarray, W: np.ndarray, sigma_n2: float) -> float:
     """Sum of per-user spectral efficiencies in bits/s/Hz."""
-    p = np.abs(H @ W) ** 2
-    desired = np.diag(p)
-    interference = p.sum(axis=1) - desired
-    sinr = desired / (interference + sigma_n2)
-    return float(np.sum(np.log2(1.0 + sinr)))
+    return smse_and_rate(H, W, sigma_n2)[1]
 
 
 def _precoder_solve(H: np.ndarray, power: float, sigma_n2: float):
-    """(optimal_precoder, precoder_residual) from one solve."""
+    """(optimal precoder, stationarity residual of its normal equations
+    relative to the channel norm) from one LAPACK gesv."""
     l_rx, m_tx = H.shape
-    if not np.any(H):
+    if not H.any():
         raise DegenerateChannelError("channel matrix is zero")
     h_h = H.conj().T
-    a = h_h @ H + (l_rx * sigma_n2 / power) * np.eye(m_tx)
-    w_bar = np.linalg.solve(a, h_h)
-    residual = float(np.linalg.norm(a @ w_bar - h_h) / np.linalg.norm(H))
-    return np.sqrt(power) * w_bar / np.linalg.norm(w_bar), residual
+    a = h_h @ H
+    a.reshape(-1)[:: m_tx + 1] += l_rx * sigma_n2 / power
+    _, _, w_bar, info = _gesv(a, h_h)
+    if info > 0:
+        raise np.linalg.LinAlgError("precoder system is singular")
+    residual = float(_vec_norm(a @ w_bar - h_h) / _vec_norm(H))
+    return np.sqrt(power) * w_bar / _vec_norm(w_bar), residual
 
 
 def optimal_precoder(H: np.ndarray, power: float, sigma_n2: float) -> np.ndarray:
@@ -142,14 +160,9 @@ def optimal_precoder(H: np.ndarray, power: float, sigma_n2: float) -> np.ndarray
     return _precoder_solve(H, power, sigma_n2)[0]
 
 
-def precoder_residual(H: np.ndarray, power: float, sigma_n2: float) -> float:
-    """Stationarity residual of the precoder normal equations, relative to
-    the channel norm."""
-    return _precoder_solve(H, power, sigma_n2)[1]
-
-
 def _vec_norm(v: np.ndarray) -> float:
-    """Euclidean norm of a complex vector from one BLAS dot product."""
+    """Euclidean (Frobenius) norm of a complex array from one BLAS dot
+    product."""
     return np.sqrt(np.vdot(v, v).real)
 
 
@@ -159,7 +172,7 @@ def _power_norm(apply, n: int, tol: float = 1e-6, max_iter: int = 200, v0=None):
     callers can warm-start the next estimate."""
     if n == 0:
         return 0.0, np.zeros(0, dtype=complex)
-    if v0 is None or not np.any(v0):
+    if v0 is None or not v0.any():
         v = np.ones(n, dtype=complex) / np.sqrt(n)
     else:
         v = v0 / _vec_norm(v0)
@@ -187,7 +200,7 @@ def spectral_norm(a: np.ndarray, tol: float = 1e-6, max_iter: int = 200) -> floa
 
 
 def build_delta_system(f: FoldedChannel, state: OptimizerState) -> DeltaStep:
-    """Per-user factors of the channel linearized at the current loads.
+    """Factors of the channel linearized at the current loads.
 
     The sensitivity rows need u = v S^-1 (see LoadEvaluation): one transposed
     solve with the factors of state.evaluation. Raises StaleStateError if
@@ -196,12 +209,7 @@ def build_delta_system(f: FoldedChannel, state: OptimizerState) -> DeltaStep:
     ev = state.evaluation
     if not np.array_equal(ev.loads.x, state.loads.x):
         raise StaleStateError("state.evaluation does not correspond to state.loads")
-    u = ev.solve(ev.v.T, 1).T
-    return DeltaStep(
-        h_bar_per_user=[
-            np.vstack([u[l][:, None] * ev.a_mat, ev.h[l][None, :]]) for l in range(f.l_rx)
-        ]
-    )
+    return DeltaStep(u=ev.solve(ev.v.T, 1).T, a_mat=ev.a_mat, h=ev.h)
 
 
 def solve_delta(ds: DeltaStep, W: np.ndarray, sigma_n2: float, g_norm: float) -> np.ndarray:
@@ -213,23 +221,22 @@ def solve_delta(ds: DeltaStep, W: np.ndarray, sigma_n2: float, g_norm: float) ->
     """
     if not g_norm > 0:
         raise ValueError(f"g_norm must be positive, got {g_norm}")
-    n = ds.h_bar_per_user[0].shape[0] - 1
+    n, l_rx = ds.a_mat.shape[0], ds.h.shape[0]
     if n == 0:
         # BLAS and LAPACK wrappers reject empty operands.
         ds.b = ds.delta_tilde = ds.delta = np.zeros(0, dtype=complex)
         return ds.delta
-    l_rx = len(ds.h_bar_per_user)
-    ww_h = W @ W.conj().T
-    b = np.zeros(n, dtype=complex)
-    for l in range(l_rx):
-        h_r = ds.h_bar_per_user[l][:-1]
-        h_d_row = ds.h_bar_per_user[l][-1]
-        b += h_r @ W[:, l] - h_r @ (ww_h @ h_d_row.conj())
-    # The normal matrix sigma^2 I + T T^H, T = [h_r,l W]_l (N x L^2), from one
-    # herk into the lower triangle of a Fortran-ordered buffer.
-    t = np.hstack([h_bar[:-1] @ W for h_bar in ds.h_bar_per_user])
+    # With h_r,l = u_l * a_mat, b = sum_l h_r,l c_l = sum_l u_l * (a_mat C)_l
+    # for C = W - W W^H h^H, and T = [h_r,l W]_l (N x L^2) has column (l, l')
+    # u_l * (a_mat W)_l'.
+    u_t = ds.u.T
+    c = W - W @ (W.conj().T @ ds.h.conj().T)
+    b = np.einsum("nl,nl->n", ds.a_mat @ c, u_t)
+    t = (u_t[:, :, None] * (ds.a_mat @ W)[:, None, :]).reshape(n, l_rx * l_rx)
+    # The normal matrix sigma^2 I + T T^H from one herk into the lower
+    # triangle of a Fortran-ordered buffer.
     gram = np.zeros((n, n), dtype=complex, order="F")
-    gram[np.diag_indices(n)] = sigma_n2
+    gram.reshape(-1, order="F")[:: n + 1] = sigma_n2
     gram = _herk(1.0, t, beta=1.0, c=gram, lower=1, overwrite_c=1)
     # A non-finite T or sigma^2 shows on the diagonal, which bounds every
     # other entry of the normal matrix.
@@ -241,7 +248,7 @@ def solve_delta(ds: DeltaStep, W: np.ndarray, sigma_n2: float, g_norm: float) ->
     delta_tilde, _ = _potrs(chol, b, lower=1)
     ds.b = b
     ds.delta_tilde = delta_tilde
-    peak = np.max(np.abs(delta_tilde))
+    peak = np.abs(delta_tilde).max()
     if peak == 0.0:
         ds.delta = np.zeros(n, dtype=complex)
     else:
@@ -277,21 +284,22 @@ def saris_optimize(f: FoldedChannel, config: OptimizerConfig) -> OptimizerState:
     w, w_residual = _precoder_solve(ev.h, config.power, config.sigma_n2)
 
     state = OptimizerState(W=w, loads=loads, evaluation=ev, g_norm=g_norm)
-    state.smse_trace.append(smse(f.H_d, ev.h_ris, w, config.sigma_n2))
-    state.rate_trace.append(sum_rate(ev.h, w, config.sigma_n2))
+    smse_w, rate_w = smse_and_rate(ev.h, w, config.sigma_n2)
+    state.smse_trace.append(smse_w)
+    state.rate_trace.append(rate_w)
 
     def record_w_diagnostics():
         # w_residual belongs to the solve that produced state.W.
         state.w_residual_trace.append(w_residual)
-        power_err = abs(np.linalg.norm(state.W) ** 2 - config.power) / config.power
+        power_err = abs(np.vdot(state.W, state.W).real - config.power) / config.power
         state.w_power_error_trace.append(power_err)
 
     def record_feasibility():
         z_diag = state.loads.z_diagonal
         ok = bool(
-            np.all(z_diag.real == config.r0)
-            and np.all(state.loads.x >= config.q_interval[0])
-            and np.all(state.loads.x <= config.q_interval[1])
+            (z_diag.real == config.r0).all()
+            and (state.loads.x >= config.q_interval[0]).all()
+            and (state.loads.x <= config.q_interval[1]).all()
         )
         state.feasible_trace.append(ok)
 
@@ -300,21 +308,22 @@ def saris_optimize(f: FoldedChannel, config: OptimizerConfig) -> OptimizerState:
         state.iteration = i
         ev = state.evaluation
         w_new, residual = _precoder_solve(ev.h, config.power, config.sigma_n2)
-        smse_w = smse(f.H_d, ev.h_ris, w_new, config.sigma_n2)
+        smse_w, rate_w = smse_and_rate(ev.h, w_new, config.sigma_n2)
         if smse_w <= state.smse_trace[-1]:
             state.W, w_residual = w_new, residual
         else:
-            smse_w = state.smse_trace[-1]
+            # The last trace entry scores this same channel and precoder.
+            smse_w, rate_w = state.smse_trace[-1], state.rate_trace[-1]
         w = state.W
         record_w_diagnostics()
 
         ds = build_delta_system(f, state)
         delta = solve_delta(ds, w, config.sigma_n2, g_norm)
-        if not np.any(delta):
+        if not delta.any():
             state.guard_trace.append(0.0)
             state.halving_trace.append(0)
             state.smse_trace.append(smse_w)
-            state.rate_trace.append(sum_rate(ev.h, w, config.sigma_n2))
+            state.rate_trace.append(rate_w)
             record_feasibility()
             state.converged = True
             break
@@ -324,18 +333,18 @@ def saris_optimize(f: FoldedChannel, config: OptimizerConfig) -> OptimizerState:
         while True:
             x_cand = np.clip(state.loads.x - np.imag(step), *config.q_interval)
             cand = LoadEvaluation(f, RisLoads(config.r0, x_cand, config.q_interval))
-            smse_cand = smse(f.H_d, cand.h_ris, w, config.sigma_n2)
+            smse_cand, rate_cand = smse_and_rate(cand.h, w, config.sigma_n2)
             if smse_cand <= smse_w or halvings >= _MAX_HALVINGS:
                 break
             step = step / 2.0
             halvings += 1
 
-        state.guard_trace.append(float(np.max(np.abs(step)) * g_norm))
+        state.guard_trace.append(float(np.abs(step).max() * g_norm))
         state.halving_trace.append(halvings)
         if smse_cand > smse_w:
             # Even a vanishing step along this direction does not help.
             state.smse_trace.append(smse_w)
-            state.rate_trace.append(sum_rate(ev.h, w, config.sigma_n2))
+            state.rate_trace.append(rate_w)
             record_feasibility()
             state.converged = True
             break
@@ -345,7 +354,7 @@ def saris_optimize(f: FoldedChannel, config: OptimizerConfig) -> OptimizerState:
         state.evaluation = cand
         state.g_norm = g_norm
         state.smse_trace.append(smse_cand)
-        state.rate_trace.append(sum_rate(cand.h, w, config.sigma_n2))
+        state.rate_trace.append(rate_cand)
         record_feasibility()
         if abs(state.smse_trace[-1] - state.smse_trace[-2]) <= config.epsilon:
             state.converged = True
@@ -354,8 +363,7 @@ def saris_optimize(f: FoldedChannel, config: OptimizerConfig) -> OptimizerState:
     ev = state.evaluation
     state.W, w_residual = _precoder_solve(ev.h, config.power, config.sigma_n2)
     record_w_diagnostics()
-    state.final_smse = smse(f.H_d, ev.h_ris, state.W, config.sigma_n2)
-    state.final_sum_rate = sum_rate(ev.h, state.W, config.sigma_n2)
+    state.final_smse, state.final_sum_rate = smse_and_rate(ev.h, state.W, config.sigma_n2)
     return state
 
 
@@ -370,8 +378,7 @@ def mismatched_optimize(
     """
     state = saris_optimize(interaction_free(f, z), config)
     h_true = end_to_end_channel(f, state.loads)
-    state.final_smse = smse(f.H_d, h_true - f.H_d, state.W, config.sigma_n2)
-    state.final_sum_rate = sum_rate(h_true, state.W, config.sigma_n2)
+    state.final_smse, state.final_sum_rate = smse_and_rate(h_true, state.W, config.sigma_n2)
     return state
 
 
@@ -400,8 +407,7 @@ def random_baseline(
     for t in range(trials):
         ev = LoadEvaluation(f, RisLoads(config.r0, draws[t], config.q_interval))
         w = optimal_precoder(ev.h, config.power, config.sigma_n2)
-        rate = sum_rate(ev.h, w, config.sigma_n2)
-        err = smse(f.H_d, ev.h_ris, w, config.sigma_n2)
+        err, rate = smse_and_rate(ev.h, w, config.sigma_n2)
         best_smse = min(best_smse, err)
         if rate > best_rate:
             best_rate = rate

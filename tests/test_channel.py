@@ -1,5 +1,7 @@
 """Folding the scatterer ports and evaluating the load-dependent channel."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -263,14 +265,29 @@ def test_in_place_factors_match_lu_factor(model):
 
 def test_evaluation_and_optimizers_leave_blocks_untouched():
     # The scatter matrix is factored in place; it must be a fresh buffer every
-    # time, never the stored blocks.
+    # time, never the stored blocks or the once-per-channel factors v and B.
     z, f = folded_scenario(tiny_config())
-    before = (z.full_matrix().copy(), f.Z_SS.copy(), f.Z_SOS.copy())
+    before = (z.full_matrix().copy(), f.Z_SS.copy(), f.Z_SOS.copy(), f.v.copy(), f.B.copy())
     loads = RisLoads(0.2, np.full(f.n_ris, -150.0), Q_TABLE)
     LoadEvaluation(f, loads)
     opt = OptimizerConfig(epsilon=1e-10, max_iter=10)
     saris_optimize(f, opt)
     mismatched_optimize(f, z, opt)
-    after = (z.full_matrix(), f.Z_SS, f.Z_SOS)
+    after = (z.full_matrix(), f.Z_SS, f.Z_SOS, f.v, f.B)
     for want, got in zip(before, after):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("model", ["full", "interaction_free"])
+def test_channel_factors_cannot_go_stale(model):
+    z, f = folded_scenario(tiny_config())
+    if model == "interaction_free":
+        f = interaction_free(f, z)
+    assert np.array_equal(f.v, f.Z_RL @ f.Z_ROS)
+    assert np.array_equal(f.B, f.Z_SOT @ f.Z_TG)
+    # Neither the factors nor their source blocks can be written or rebound.
+    for name in ("v", "B", "Z_RL", "Z_ROS", "Z_SOT", "Z_TG"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(f, name)[0, 0] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(f, name, getattr(f, name).copy())

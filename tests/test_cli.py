@@ -10,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import saris.cli
 from saris.channel import SingularBlockError
 from saris.cli import (
     BLAS_THREAD_VARS,
@@ -235,6 +236,28 @@ def test_unknown_algo_is_a_usage_error(tmp_path):
     with pytest.raises(SystemExit) as err:
         run_cli("run", "--algo", "genie", "--out", str(tmp_path / "out"))
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize(
+    "flags",
+    [["--jobs", "0"], ["--jobs", "-3"], ["--algo", "all", "--baseline-trials", "0"]],
+    ids=["jobs_zero", "jobs_negative", "baseline_trials_zero"],
+)
+def test_bad_run_options_are_rejected_before_any_realization(
+    tmp_path, capsys, monkeypatch, command, flags
+):
+    def no_realization(*args, **kwargs):
+        raise AssertionError("a realization started")
+
+    monkeypatch.setattr(saris.cli, "generate", no_realization)
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    sweep = ["--sweep", "N", "--values", "4"] if command == "sweep" else []
+    code = run_cli(command, "--config", str(cfg), *sweep, *flags, "--out", str(out))
+    assert code == EXIT_CONFIG
+    assert flags[-2] in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_exit_code_mapping():

@@ -12,13 +12,14 @@ from saris.optimize import (
     OptimizerState,
     StaleStateError,
     _power_norm,
+    _precoder_solve,
     build_delta_system,
     mismatched_optimize,
     optimal_precoder,
-    precoder_residual,
     random_baseline,
     saris_optimize,
     smse,
+    smse_and_rate,
     solve_delta,
     spectral_norm,
     sum_rate,
@@ -76,6 +77,21 @@ def test_sum_rate_matches_bruteforce():
         )
 
 
+@pytest.mark.parametrize("l_rx", [1, 2, 3])
+def test_one_product_scores_match_separate_ones(l_rx):
+    rng = np.random.default_rng(20 + l_rx)
+    for _ in range(5):
+        h_d = random_channel(rng, l_rx)
+        h_ris = 0.1 * random_channel(rng, l_rx)
+        w = random_channel(rng, 4, l_rx)
+        h = h_d + h_ris
+        err, rate = smse_and_rate(h, w, 1e-3)
+        assert_allclose(err, smse(h_d, h_ris, w, 1e-3), rtol=1e-13)
+        assert_allclose(rate, sum_rate(h, w, 1e-3), rtol=1e-13)
+        assert_allclose(err, smse_bruteforce(h, w, 1e-3), rtol=1e-12)
+        assert_allclose(rate, sum_rate_bruteforce(h, w, 1e-3), rtol=1e-12)
+
+
 def test_interference_free_rate():
     # Orthogonal single-stream links: SINR reduces to SNR.
     h = np.diag([2.0, 3.0]).astype(complex)
@@ -90,7 +106,7 @@ def test_precoder_power_and_stationarity():
         h = 1e-3 * random_channel(rng)
         w = optimal_precoder(h, power, 1e-11)
         assert abs(np.linalg.norm(w) ** 2 - power) / power < 1e-12
-        assert precoder_residual(h, power, 1e-11) < 1e-8
+        assert _precoder_solve(h, power, 1e-11)[1] < 1e-8
 
 
 def test_precoder_beats_random_precoders():
@@ -151,6 +167,23 @@ def test_linearization_is_exact_at_zero_step():
     for l in range(f.l_rx):
         row = ds.h_bar_per_user[l][-1]
         assert np.abs(row - h[l]).max() < 1e-10 * scale
+
+
+def test_sensitivity_stacks_derive_from_factors():
+    # The per-user stacks are the sensitivity rows u_l * a_mat on top of the
+    # channel row, bit for bit, and cannot be written.
+    _, f = folded_scenario(tiny_config(L=3))
+    state = initial_state(f, OptimizerConfig())
+    ds = build_delta_system(f, state)
+    u, a_mat, h = ds.u, ds.a_mat, ds.h
+    assert u.shape == (f.l_rx, f.n_ris)
+    assert a_mat is state.evaluation.a_mat and h is state.evaluation.h
+    stacks = ds.h_bar_per_user
+    assert len(stacks) == f.l_rx
+    for l, stack in enumerate(stacks):
+        assert stack.tobytes() == np.vstack([u[l][:, None] * a_mat, h[l]]).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            stack[0, 0] = 0.0
 
 
 def test_sensitivity_rows_match_finite_differences():
@@ -240,10 +273,14 @@ def test_delta_solve_matches_dense_system(overrides):
 
 
 def constant_delta_step(fill):
-    """N = 4 cells, L = 2 users, M = 3: every factor entry equals `fill`,
-    and the precoder is all ones."""
-    h_bars = [np.full((5, 3), fill, dtype=complex) for _ in range(2)]
-    return DeltaStep(h_bar_per_user=h_bars), np.ones((3, 2), dtype=complex)
+    """N = 4 cells, L = 2 users, M = 3: every sensitivity and channel entry
+    equals `fill`, and the precoder is all ones."""
+    ds = DeltaStep(
+        u=np.full((2, 4), fill, dtype=complex),
+        a_mat=np.ones((4, 3), dtype=complex),
+        h=np.full((2, 3), fill, dtype=complex),
+    )
+    return ds, np.ones((3, 2), dtype=complex)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
@@ -253,9 +290,9 @@ def test_delta_solve_rejects_non_finite_input(bad, where):
     ds, w = constant_delta_step(1.0)
     sigma_n2 = 1e-11
     if where == "sensitivity":
-        ds.h_bar_per_user[1][2, 0] = bad
+        ds.u[1, 2] = bad
     elif where == "channel_row":
-        ds.h_bar_per_user[0][-1, 1] = bad
+        ds.h[0, 1] = bad
     else:
         sigma_n2 = bad
     with pytest.raises(ValueError, match="non-finite"):
@@ -272,17 +309,22 @@ def test_delta_solve_reports_indefinite_system():
 
 def test_delta_zero_rhs_returns_zero():
     n, m = 4, 2
-    h_bars = [
-        np.vstack([np.zeros((n, m), dtype=complex), np.ones((1, m), dtype=complex)])
-    ]
-    ds = DeltaStep(h_bar_per_user=h_bars)
+    ds = DeltaStep(
+        u=np.zeros((1, n), dtype=complex),
+        a_mat=np.ones((n, m), dtype=complex),
+        h=np.ones((1, m), dtype=complex),
+    )
     delta = solve_delta(ds, np.ones((m, 1), dtype=complex), 1e-11, 1.0)
     assert not delta.any()
     assert delta.shape == (n,)
 
 
 def test_delta_solve_without_cells_returns_empty():
-    ds = DeltaStep(h_bar_per_user=[np.ones((1, 2), dtype=complex)])
+    ds = DeltaStep(
+        u=np.zeros((1, 0), dtype=complex),
+        a_mat=np.zeros((0, 2), dtype=complex),
+        h=np.ones((1, 2), dtype=complex),
+    )
     delta = solve_delta(ds, np.ones((2, 1), dtype=complex), 1e-11, 1.0)
     assert delta.shape == (0,)
 
