@@ -244,6 +244,12 @@ def _check_run_options(args, algos) -> None:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     if "random" in algos and args.baseline_trials < 1:
         raise ConfigError(f"--baseline-trials must be at least 1, got {args.baseline_trials}")
+    try:
+        OptimizerConfig(epsilon=args.epsilon, max_iter=args.max_iter)
+    except ValueError as exc:
+        # Each message starts with the offending field's name.
+        flag = "--" + str(exc).split()[0].replace("_", "-")
+        raise ConfigError(f"{flag}: {exc}") from None
 
 
 def cmd_run(args) -> int:

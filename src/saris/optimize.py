@@ -194,6 +194,20 @@ def _power_norm(apply, n: int, tol: float = 1e-6, max_iter: int = 200, v0=None):
     return float(sigma), v
 
 
+def _inverse_norm(ev: LoadEvaluation, v0=None):
+    """(||S^-1||, vector) for the S of a load evaluation, by _power_norm on
+    the unpivoted LU factors. P is orthogonal, so (L U)^-1 = S^-1 P has the
+    singular values of S^-1; the warm start v0 and the returned vector are
+    in the original row order."""
+    n = ev.loads.n
+    if n == 0:
+        return 0.0, np.zeros(0, dtype=complex)
+    # The cold start ones/sqrt(n) is the same in either order.
+    w0 = None if v0 is None else ev.to_lu_order(v0)
+    sigma, w = _power_norm(ev.solve_unpivoted, n, v0=w0)
+    return sigma, ev.from_lu_order(w)
+
+
 def spectral_norm(a: np.ndarray, tol: float = 1e-6, max_iter: int = 200) -> float:
     """Spectral norm of a dense square matrix by power iteration."""
     return _power_norm(lambda v, t: (a.conj().T if t else a) @ v, len(a), tol, max_iter)[0]
@@ -280,7 +294,7 @@ def saris_optimize(f: FoldedChannel, config: OptimizerConfig) -> OptimizerState:
     x = np.clip(config.initial_reactances(n), *config.q_interval)
     loads = RisLoads(config.r0, x, config.q_interval)
     ev = LoadEvaluation(f, loads)
-    g_norm, g_vec = _power_norm(ev.solve, n)
+    g_norm, g_vec = _inverse_norm(ev)
     w, w_residual = _precoder_solve(ev.h, config.power, config.sigma_n2)
 
     state = OptimizerState(W=w, loads=loads, evaluation=ev, g_norm=g_norm)
@@ -349,7 +363,7 @@ def saris_optimize(f: FoldedChannel, config: OptimizerConfig) -> OptimizerState:
             state.converged = True
             break
 
-        g_norm, g_vec = _power_norm(cand.solve, n, v0=g_vec)
+        g_norm, g_vec = _inverse_norm(cand, g_vec)
         state.loads = cand.loads
         state.evaluation = cand
         state.g_norm = g_norm
@@ -417,7 +431,7 @@ def random_baseline(
 
     w, ev = best
     state = OptimizerState(W=w, loads=ev.loads, evaluation=ev)
-    state.g_norm = _power_norm(ev.solve, n)[0]
+    state.g_norm = _inverse_norm(ev)[0]
     state.smse_trace = smse_trace
     state.rate_trace = rate_trace
     state.iteration = trials

@@ -241,8 +241,24 @@ def test_unknown_algo_is_a_usage_error(tmp_path):
 @pytest.mark.parametrize("command", ["run", "sweep"])
 @pytest.mark.parametrize(
     "flags",
-    [["--jobs", "0"], ["--jobs", "-3"], ["--algo", "all", "--baseline-trials", "0"]],
-    ids=["jobs_zero", "jobs_negative", "baseline_trials_zero"],
+    [
+        ["--jobs", "0"],
+        ["--jobs", "-3"],
+        ["--algo", "all", "--baseline-trials", "0"],
+        ["--max-iter", "0"],
+        ["--epsilon", "0"],
+        ["--epsilon", "-1"],
+        ["--epsilon", "nan"],
+    ],
+    ids=[
+        "jobs_zero",
+        "jobs_negative",
+        "baseline_trials_zero",
+        "max_iter_zero",
+        "epsilon_zero",
+        "epsilon_negative",
+        "epsilon_nan",
+    ],
 )
 def test_bad_run_options_are_rejected_before_any_realization(
     tmp_path, capsys, monkeypatch, command, flags

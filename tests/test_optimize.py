@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from saris.channel import LoadEvaluation, RisLoads, end_to_end_channel
+from saris.channel import LoadEvaluation, RisLoads, end_to_end_channel, fold_esos
 from saris.optimize import (
     DegenerateChannelError,
     DeltaStep,
     OptimizerConfig,
     OptimizerState,
     StaleStateError,
+    _inverse_norm,
     _power_norm,
     _precoder_solve,
     build_delta_system,
@@ -27,7 +28,9 @@ from saris.optimize import (
 from saris.scenario import ScenarioConfig
 
 from _helpers import (
+    Q_TABLE,
     folded_scenario,
+    random_impedance_set,
     smse_bruteforce,
     sum_rate_bruteforce,
     tiny_config,
@@ -155,6 +158,69 @@ def test_load_evaluation_matches_dense_inverse():
     assert rel_err(ev.solve(v.T, 1).T, v @ g) <= 1e-12
     # The power iteration on the LU factors gives ||S^-1||.
     assert_allclose(_power_norm(ev.solve, f.n_ris)[0], np.linalg.norm(g, 2), rtol=1e-5)
+
+
+def pivoting_evaluation(rng, n):
+    """A load evaluation whose LU swaps rows. Generated deployments and
+    random impedance sets factor with identity pivots, so Z_SS is replaced
+    by a large random block that outweighs the load diagonal."""
+    f = fold_esos(random_impedance_set(rng, n_ris=n))
+    f.Z_SS[:] = 1e3 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    loads = RisLoads(0.2, np.full(n, -150.0), Q_TABLE)
+    ev = LoadEvaluation(f, loads)
+    assert (ev._lu[1] != np.arange(n)).sum() >= n // 2
+    return ev, np.linalg.inv(f.Z_SS + f.Z_SOS + loads.matrix())
+
+
+def test_unpivoted_solves_with_interchanges_match_dense_inverse():
+    rng = np.random.default_rng(11)
+    ev, g = pivoting_evaluation(rng, 12)
+
+    def rel_err(got, want):
+        return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+    for _ in range(3):
+        v = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+        # S^-1 = (L U)^-1 P^T and S^-H = P (L U)^-H.
+        assert rel_err(ev.solve_unpivoted(ev.to_lu_order(v)), g @ v) <= 1e-12
+        assert rel_err(ev.from_lu_order(ev.solve_unpivoted(v, 2)), g.conj().T @ v) <= 1e-12
+        assert np.array_equal(ev.from_lu_order(ev.to_lu_order(v)), v)
+
+
+def test_inverse_norm_matches_pivoted_power_iteration():
+    rng = np.random.default_rng(12)
+    n = 12
+    ev, g = pivoting_evaluation(rng, n)
+    v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    for start in (None, v0):
+        got, got_vec = _inverse_norm(ev, start)
+        want, want_vec = _power_norm(ev.solve, n, v0=start)
+        assert_allclose(got, want, rtol=1e-12)
+        assert np.linalg.norm(got_vec - want_vec) <= 1e-12 * np.linalg.norm(want_vec)
+        assert_allclose(got, np.linalg.norm(g, 2), rtol=1e-5)
+
+
+def test_inverse_norm_leaves_its_start_and_the_factors_untouched():
+    # The interchanges and triangular solves can work in place. Only the
+    # norm's own copies may be written, never the caller's warm start or the
+    # LU that later solves of the evaluation share. Blocks read by the
+    # optimizers are covered by test_evaluation_and_optimizers_leave_blocks_untouched.
+    rng = np.random.default_rng(14)
+    ev, _ = pivoting_evaluation(rng, 12)
+    v0 = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+    before = (v0.copy(), ev._lu[0].copy(), ev._lu[1].copy())
+    _, vec = _inverse_norm(ev, v0)
+    assert not np.shares_memory(vec, v0)
+    for want, got in zip(before, (v0, *ev._lu)):
+        assert np.array_equal(got, want)
+
+
+def test_inverse_norm_of_an_empty_surface():
+    f = fold_esos(random_impedance_set(np.random.default_rng(13), n_ris=0))
+    ev = LoadEvaluation(f, RisLoads(0.2, np.zeros(0), Q_TABLE))
+    norm, vec = _inverse_norm(ev)
+    assert norm == 0.0
+    assert vec.shape == (0,)
 
 
 def test_linearization_is_exact_at_zero_step():
