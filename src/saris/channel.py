@@ -199,8 +199,7 @@ class LoadEvaluation:
     """The channel h = H_d - v a_mat at one load setting, from one guarded LU
     of S = Z_SS + Z_SOS + Z_RIS, with v = Z_RL Z_ROS and a_mat = S^-1 B,
     B = Z_SOT Z_TG (both from the folded channel). Other uses of S^-1 go
-    through solve, or solve_unpivoted for single vectors, so the inverse is
-    never formed."""
+    through solve, so the inverse is never formed."""
 
     def __init__(self, f: FoldedChannel, loads: RisLoads):
         if loads.n != f.n_ris:
@@ -214,34 +213,28 @@ class LoadEvaluation:
         self.h = f.H_d - self.v @ self.a_mat
 
     def solve(self, b: np.ndarray, trans: int = 0) -> np.ndarray:
-        """S^-1 b (trans=0), S^-T b (trans=1) or S^-H b (trans=2)."""
-        return b if self._lu is None else _lu_solve(self._lu, b, trans)
-
-    def solve_unpivoted(self, w: np.ndarray, trans: int = 0) -> np.ndarray:
-        """(L U)^-1 w (trans=0) or (L U)^-H w (trans=2) as a new array, for
-        a vector w and loads.n > 0. With S = P L U, S^-1 v is
-        solve_unpivoted(to_lu_order(v)) and S^-H v is
-        from_lu_order(solve_unpivoted(v, 2)). Repeated single-vector solves
-        go this way because getrs packs the whole factor for trsm on every
-        call, which costs several triangular solves at N = 256."""
-        lu = self._lu[0]
-        # trsv(a, x, incx, offx, lower, trans, diag, overwrite_x), positional
-        # because keywords cost as much as the solve itself at small N. The
-        # first call copies w; the second works in place on that copy.
+        """S^-1 b (trans=0), S^-T b (trans=1) or S^-H b (trans=2) as a new
+        array. A block goes through getrs. A vector goes through the row
+        interchanges and two BLAS trsv calls instead, because getrs packs the
+        whole factor for trsm on every call, which costs several triangular
+        solves at N = 256."""
+        if self._lu is None:
+            return b
+        if b.ndim > 1:
+            return _lu_solve(self._lu, b, trans)
+        lu, piv = self._lu
+        # With S = P L U, S^-1 b = U^-1 L^-1 P^T b and S^-T b = P L^-T U^-T b
+        # (likewise for ^-H). trsv(a, x, incx, offx, lower, trans, diag,
+        # overwrite_x) and laswp(a, piv, k1, k2, off, inc, overwrite_a) are
+        # called positionally because keywords cost as much as the solve itself
+        # at small N. Only the first call copies b; the rest work in place.
         if trans:
-            y = _trsv(lu, w, 1, 0, 0, 2, 0)
-            return _trsv(lu, y, 1, 0, 1, 2, 1, 1)
-        y = _trsv(lu, w, 1, 0, 1, 0, 1)
+            y = _trsv(lu, b, 1, 0, 0, trans, 0)
+            y = _trsv(lu, y, 1, 0, 1, trans, 1, 1)
+            return _laswp(y, piv, 0, len(piv) - 1, 0, -1, 1)
+        y = _laswp(b, piv)
+        y = _trsv(lu, y, 1, 0, 1, 0, 1, 1)
         return _trsv(lu, y, 1, 0, 0, 0, 0, 1)
-
-    def to_lu_order(self, v: np.ndarray) -> np.ndarray:
-        """P^T v: the row interchanges of the LU applied to a copy of v."""
-        return _laswp(v, self._lu[1])
-
-    def from_lu_order(self, w: np.ndarray) -> np.ndarray:
-        """P w: the inverse of to_lu_order."""
-        piv = self._lu[1]
-        return _laswp(w, piv, 0, len(piv) - 1, 0, -1)
 
 
 def end_to_end_channel(f: FoldedChannel, loads: RisLoads) -> np.ndarray:

@@ -390,8 +390,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trials", type=int, help="realizations per experiment")
         p.add_argument("--seed", type=int, help="master seed override")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--epsilon", type=float, default=1e-4, help="stop when |ΔSMSE| ≤ epsilon")
-        p.add_argument("--max-iter", type=int, default=500)
+        p.add_argument(
+            "--epsilon",
+            type=float,
+            default=OptimizerConfig.epsilon,
+            help="stop when |ΔSMSE| ≤ epsilon",
+        )
+        p.add_argument("--max-iter", type=int, default=OptimizerConfig.max_iter)
         p.add_argument(
             "--baseline-trials", type=int, default=100, help="draws for the random baseline"
         )

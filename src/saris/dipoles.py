@@ -191,14 +191,6 @@ def _coupling(rho, cls, dz, h_src, h_tst, wavelength) -> np.ndarray:
     return z_re + 1j * z_im
 
 
-def _canonical_pair(a: Dipole, b: Dipole) -> tuple[Dipole, Dipole]:
-    """Fixed source/test assignment so both argument orders share one code
-    path and reciprocity holds bitwise."""
-    ka = (a.length, a.position[2], a.wire_radius)
-    kb = (b.length, b.position[2], b.wire_radius)
-    return (a, b) if ka >= kb else (b, a)
-
-
 def _pair_separations(dipoles: list[Dipole], iu, ju) -> np.ndarray:
     """Horizontal separations of the pairs (dipoles[iu], dipoles[ju]); raises
     GeometryError if two of these distinct dipoles overlap or their wire bodies
@@ -232,6 +224,45 @@ def _pair_separations(dipoles: list[Dipole], iu, ju) -> np.ndarray:
     return rho
 
 
+def _pair_impedances(dipoles: list[Dipole], iu, ju, wavelength: float) -> np.ndarray:
+    """Impedances in ohms of the pairs (dipoles[iu], dipoles[ju]); a pair with
+    iu == ju is that dipole's self term, with the field evaluated one wire
+    radius off the axis.
+
+    Of each pair, the dipole with the larger (length, z, radius) key is the
+    source, so both orders of a pair give the same result bit for bit. Pairs
+    go through the closed-form kernel in fixed-size slices, and a pair's
+    result does not depend on the slice it shares.
+    """
+    if not wavelength > 0:
+        raise ValueError(f"wavelength must be positive, got {wavelength}")
+    iu, ju = np.asarray(iu), np.asarray(ju)
+    length = np.array([d.length for d in dipoles])
+    zc = np.array([d.position[2] for d in dipoles])
+    radius = np.array([d.wire_radius for d in dipoles])
+    off = iu != ju
+    rho = radius[iu]
+    rho[off] = _pair_separations(dipoles, iu[off], ju[off])
+    rank = np.empty(len(dipoles), dtype=int)
+    rank[np.lexsort((radius, zc, length))] = np.arange(len(dipoles))
+    src = np.where(rank[iu] >= rank[ju], iu, ju)
+    tst = np.where(rank[iu] >= rank[ju], ju, iu)
+    # A pair's axial geometry is fixed by the (z, length) kinds of its source
+    # and test; each slice's geometry table holds its distinct kind pairs.
+    kinds, kind = np.unique(np.stack([zc, length], axis=1), axis=0, return_inverse=True)
+    code = kind[src] * len(kinds) + kind[tst]
+    z = np.empty(iu.size, dtype=complex)
+    for lo in range(0, iu.size, _PAIRS_PER_CALL):
+        p = slice(lo, lo + _PAIRS_PER_CALL)
+        geometries, cls = np.unique(code[p], return_inverse=True)
+        s, t = np.divmod(geometries, len(kinds))
+        z[p] = _coupling(
+            rho[p], cls, kinds[t, 0] - kinds[s, 0], 0.5 * kinds[s, 1], 0.5 * kinds[t, 1],
+            wavelength,
+        )
+    return z
+
+
 def mutual_impedance(a: Dipole, b: Dipole, wavelength: float) -> complex:
     """Mutual impedance in ohms between two z-aligned dipoles.
 
@@ -239,22 +270,7 @@ def mutual_impedance(a: Dipole, b: Dipole, wavelength: float) -> complex:
     the field evaluated one wire radius off the axis. The result is exactly
     symmetric in its arguments.
     """
-    if not wavelength > 0:
-        raise ValueError(f"wavelength must be positive, got {wavelength}")
-    src, tst = _canonical_pair(a, b)
-    if a.same_geometry(b):
-        rho = max(a.wire_radius, b.wire_radius)
-    else:
-        rho = float(_pair_separations([a, b], [0], [1])[0])
-    z = _coupling(
-        np.array([rho]),
-        np.array([0]),
-        np.array([tst.position[2] - src.position[2]]),
-        np.array([src.half_length]),
-        np.array([tst.half_length]),
-        wavelength,
-    )
-    return complex(z[0])
+    return complex(_pair_impedances([a, b], [0], [0 if a.same_geometry(b) else 1], wavelength)[0])
 
 
 @dataclass
@@ -383,9 +399,8 @@ def assemble_impedances(
     """Build the block impedance structure for a full deployment.
 
     Dipoles may arrive in any order; they are grouped by role with ordering
-    preserved inside each role. Entries on and above the diagonal go through
-    the closed-form kernel in fixed-size vectorized slices, each pair with the
-    source/test roles that `mutual_impedance` gives it.
+    preserved inside each role. Entries on and above the diagonal come from
+    the pair routine that `mutual_impedance` uses, so they equal its values.
     """
     groups: dict[Role, list[Dipole]] = {role: [] for role in Role}
     for dip in dipoles:
@@ -405,31 +420,9 @@ def assemble_impedances(
     n = len(groups[Role.RIS_CELL])
     kk = len(ordered)
 
-    length = np.array([d.length for d in ordered])
-    zc = np.array([d.position[2] for d in ordered])
-    radius = np.array([d.wire_radius for d in ordered])
     iu, ju = np.triu_indices(kk)
-    off = iu != ju
-    rho = radius[iu]
-    rho[off] = _pair_separations(ordered, iu[off], ju[off])
-    # The _canonical_pair rule: the larger (length, z, radius) key is the source.
-    rank = np.empty(kk, dtype=int)
-    rank[np.lexsort((radius, zc, length))] = np.arange(kk)
-    src = np.where(rank[iu] >= rank[ju], iu, ju)
-    tst = np.where(rank[iu] >= rank[ju], ju, iu)
-    # A pair's axial geometry is fixed by the (z, length) kinds of its source
-    # and test; each slice's geometry table holds its distinct kind pairs.
-    kinds, kind = np.unique(np.stack([zc, length], axis=1), axis=0, return_inverse=True)
-    code = kind[src] * len(kinds) + kind[tst]
     full = np.empty((kk, kk), dtype=complex)
-    for lo in range(0, iu.size, _PAIRS_PER_CALL):
-        p = slice(lo, lo + _PAIRS_PER_CALL)
-        geometries, cls = np.unique(code[p], return_inverse=True)
-        s, t = np.divmod(geometries, len(kinds))
-        full[iu[p], ju[p]] = full[ju[p], iu[p]] = _coupling(
-            rho[p], cls, kinds[t, 0] - kinds[s, 0], 0.5 * kinds[s, 1], 0.5 * kinds[t, 1],
-            wavelength,
-        )
+    full[iu, ju] = full[ju, iu] = _pair_impedances(ordered, iu, ju, wavelength)
 
     zset = ImpedanceSet(
         Z_TT=full[:m, :m].copy(),

@@ -40,7 +40,7 @@ class StaleStateError(RuntimeError):
 class OptimizerConfig:
     power: float = 1.0
     sigma_n2: float = 1e-11
-    epsilon: float = 1e-4
+    epsilon: float = 1e-9
     max_iter: int = 500
     q_interval: tuple[float, float] = (-302.50, -19.66)
     r0: float = 0.2
@@ -78,7 +78,8 @@ class OptimizerState:
     rate_trace: list[float] = field(default_factory=list)
     iteration: int = 0
     converged: bool = False
-    g_norm: float = 0.0  # ||S^-1|| for the S that evaluation factors
+    # ||S^-1|| for the S that evaluation factors; random_baseline leaves it 0.0.
+    g_norm: float = 0.0
     # Per-iteration diagnostics used by the acceptance checks. guard_trace
     # holds max|delta_n| * g_norm of the applied step; halving_trace counts how
     # often the step was halved to keep the objective non-increasing.
@@ -98,16 +99,12 @@ class DeltaStep:
 
     Every load-sensitivity row of user l is u_l * a_mat (u = v S^-1, one row
     per user, L x N; a_mat = S^-1 B, N x M; see LoadEvaluation), and h (L x M)
-    is the channel at the expansion point. b, delta_tilde, and delta are
-    filled in by solve_delta.
+    is the channel at the expansion point.
     """
 
     u: np.ndarray
     a_mat: np.ndarray
     h: np.ndarray
-    b: np.ndarray | None = None
-    delta_tilde: np.ndarray | None = None
-    delta: np.ndarray | None = None
 
     @property
     def h_bar_per_user(self) -> list[np.ndarray]:
@@ -194,25 +191,6 @@ def _power_norm(apply, n: int, tol: float = 1e-6, max_iter: int = 200, v0=None):
     return float(sigma), v
 
 
-def _inverse_norm(ev: LoadEvaluation, v0=None):
-    """(||S^-1||, vector) for the S of a load evaluation, by _power_norm on
-    the unpivoted LU factors. P is orthogonal, so (L U)^-1 = S^-1 P has the
-    singular values of S^-1; the warm start v0 and the returned vector are
-    in the original row order."""
-    n = ev.loads.n
-    if n == 0:
-        return 0.0, np.zeros(0, dtype=complex)
-    # The cold start ones/sqrt(n) is the same in either order.
-    w0 = None if v0 is None else ev.to_lu_order(v0)
-    sigma, w = _power_norm(ev.solve_unpivoted, n, v0=w0)
-    return sigma, ev.from_lu_order(w)
-
-
-def spectral_norm(a: np.ndarray, tol: float = 1e-6, max_iter: int = 200) -> float:
-    """Spectral norm of a dense square matrix by power iteration."""
-    return _power_norm(lambda v, t: (a.conj().T if t else a) @ v, len(a), tol, max_iter)[0]
-
-
 def build_delta_system(f: FoldedChannel, state: OptimizerState) -> DeltaStep:
     """Factors of the channel linearized at the current loads.
 
@@ -238,8 +216,7 @@ def solve_delta(ds: DeltaStep, W: np.ndarray, sigma_n2: float, g_norm: float) ->
     n, l_rx = ds.a_mat.shape[0], ds.h.shape[0]
     if n == 0:
         # BLAS and LAPACK wrappers reject empty operands.
-        ds.b = ds.delta_tilde = ds.delta = np.zeros(0, dtype=complex)
-        return ds.delta
+        return np.zeros(0, dtype=complex)
     # With h_r,l = u_l * a_mat, b = sum_l h_r,l c_l = sum_l u_l * (a_mat C)_l
     # for C = W - W W^H h^H, and T = [h_r,l W]_l (N x L^2) has column (l, l')
     # u_l * (a_mat W)_l'.
@@ -259,15 +236,11 @@ def solve_delta(ds: DeltaStep, W: np.ndarray, sigma_n2: float, g_norm: float) ->
     chol, info = _potrf(gram, lower=1, clean=0, overwrite_a=1)
     if info > 0:
         raise np.linalg.LinAlgError(f"load system is not positive definite (minor {info})")
-    delta_tilde, _ = _potrs(chol, b, lower=1)
-    ds.b = b
-    ds.delta_tilde = delta_tilde
-    peak = np.abs(delta_tilde).max()
+    direction, _ = _potrs(chol, b, lower=1)
+    peak = np.abs(direction).max()
     if peak == 0.0:
-        ds.delta = np.zeros(n, dtype=complex)
-    else:
-        ds.delta = delta_tilde / (peak * g_norm)
-    return ds.delta
+        return np.zeros(n, dtype=complex)
+    return direction / (peak * g_norm)
 
 
 _MAX_HALVINGS = 60
@@ -294,7 +267,7 @@ def saris_optimize(f: FoldedChannel, config: OptimizerConfig) -> OptimizerState:
     x = np.clip(config.initial_reactances(n), *config.q_interval)
     loads = RisLoads(config.r0, x, config.q_interval)
     ev = LoadEvaluation(f, loads)
-    g_norm, g_vec = _inverse_norm(ev)
+    g_norm, g_vec = _power_norm(ev.solve, n)
     w, w_residual = _precoder_solve(ev.h, config.power, config.sigma_n2)
 
     state = OptimizerState(W=w, loads=loads, evaluation=ev, g_norm=g_norm)
@@ -363,7 +336,7 @@ def saris_optimize(f: FoldedChannel, config: OptimizerConfig) -> OptimizerState:
             state.converged = True
             break
 
-        g_norm, g_vec = _inverse_norm(cand, g_vec)
+        g_norm, g_vec = _power_norm(cand.solve, n, v0=g_vec)
         state.loads = cand.loads
         state.evaluation = cand
         state.g_norm = g_norm
@@ -431,7 +404,6 @@ def random_baseline(
 
     w, ev = best
     state = OptimizerState(W=w, loads=ev.loads, evaluation=ev)
-    state.g_norm = _inverse_norm(ev)[0]
     state.smse_trace = smse_trace
     state.rate_trace = rate_trace
     state.iteration = trials

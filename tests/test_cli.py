@@ -1,6 +1,7 @@
 """Command-line entry points, output schemas, and exit codes."""
 
 import csv
+import importlib
 import json
 import os
 import subprocess
@@ -114,6 +115,19 @@ def test_run_traces_are_monotone(tmp_path):
         assert all(b <= a + 1e-9 for a, b in zip(errs, errs[1:]))
     rates = [float(r[4]) for r in trace_rows if r[0] == "random"]
     assert all(b >= a for a, b in zip(rates, rates[1:]))
+
+
+def test_default_flags_let_saris_beat_random(tmp_path):
+    # The default stop tolerance must let saris run past its first iteration:
+    # on the reference deployment it should match or beat the best random
+    # draw on at least 9 of 10 realizations, the bar of criterion 8.
+    out = tmp_path / "out"
+    assert run_cli("run", "--algo", "all", "--trials", "10", "--out", str(out)) == EXIT_OK
+    header, rows = read_csv(out / "runs.csv")
+    algo, seed, rate = (header.index(c) for c in ("algo", "seed", "final_sum_rate"))
+    final = {(row[algo], row[seed]): float(row[rate]) for row in rows}
+    wins = sum(final["saris", s] >= final["random", s] for s in map(str, range(10)))
+    assert wins >= 9
 
 
 def test_rerun_is_bit_identical_modulo_wall_time(tmp_path):
@@ -362,3 +376,17 @@ def test_cli_import_defers_scipy_special():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [
+        ("saris.cli", name)
+        for name in ("main", "generate", "assemble_impedances", "fold_esos", "saris_optimize")
+    ]
+    + [("saris.channel", "end_to_end_channel")],
+)
+def test_benchmark_hooks_exist(module, name):
+    # The campaign benchmark's oracle reads these module globals with no
+    # fallback, so renaming or deleting one must fail here first.
+    assert callable(getattr(importlib.import_module(module), name))

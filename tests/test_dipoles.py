@@ -291,6 +291,20 @@ def test_assembly_termination_forms():
         assemble_impedances(dipoles, LAM, z_g=np.full((2, 2), 50.0))
 
 
+@pytest.mark.parametrize("wavelength", [-LAM, 0.0, np.nan], ids=["negative", "zero", "nan"])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda lam: mutual_impedance(dip(), dip(x=LAM), lam),
+        lambda lam: assemble_impedances(small_deployment(), lam),
+    ],
+    ids=["mutual_impedance", "assemble_impedances"],
+)
+def test_bad_wavelength_rejected(build, wavelength):
+    with pytest.raises(ValueError, match="wavelength must be positive"):
+        build(wavelength)
+
+
 def test_assembly_requires_every_role():
     dipoles = [d for d in small_deployment() if d.role != Role.RECEIVER]
     with pytest.raises(ValueError):

@@ -11,7 +11,6 @@ from saris.optimize import (
     OptimizerConfig,
     OptimizerState,
     StaleStateError,
-    _inverse_norm,
     _power_norm,
     _precoder_solve,
     build_delta_system,
@@ -22,7 +21,6 @@ from saris.optimize import (
     smse,
     smse_and_rate,
     solve_delta,
-    spectral_norm,
     sum_rate,
 )
 from saris.scenario import ScenarioConfig
@@ -135,11 +133,14 @@ def test_precoder_rejects_zero_channel():
 
 
 def test_spectral_norm_matches_dense():
+    def norm(a):
+        return _power_norm(lambda v, t: (a.conj().T if t else a) @ v, len(a))[0]
+
     rng = np.random.default_rng(5)
     for n in (1, 2, 7):
         a = random_channel(rng, n, n)
-        assert_allclose(spectral_norm(a), np.linalg.norm(a, 2), rtol=1e-5)
-    assert spectral_norm(np.zeros((3, 3), dtype=complex)) == 0.0
+        assert_allclose(norm(a), np.linalg.norm(a, 2), rtol=1e-5)
+    assert norm(np.zeros((3, 3), dtype=complex)) == 0.0
 
 
 def test_load_evaluation_matches_dense_inverse():
@@ -172,53 +173,57 @@ def pivoting_evaluation(rng, n):
     return ev, np.linalg.inv(f.Z_SS + f.Z_SOS + loads.matrix())
 
 
-def test_unpivoted_solves_with_interchanges_match_dense_inverse():
+def test_vector_solves_with_interchanges_match_dense_inverse():
+    # Vectors go through the row interchanges and two trsv calls, blocks
+    # through getrs; both must give S^-1, S^-T and S^-H.
     rng = np.random.default_rng(11)
     ev, g = pivoting_evaluation(rng, 12)
 
     def rel_err(got, want):
         return np.linalg.norm(got - want) / np.linalg.norm(want)
 
-    for _ in range(3):
-        v = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-        # S^-1 = (L U)^-1 P^T and S^-H = P (L U)^-H.
-        assert rel_err(ev.solve_unpivoted(ev.to_lu_order(v)), g @ v) <= 1e-12
-        assert rel_err(ev.from_lu_order(ev.solve_unpivoted(v, 2)), g.conj().T @ v) <= 1e-12
-        assert np.array_equal(ev.from_lu_order(ev.to_lu_order(v)), v)
+    for trans, op in enumerate((g, g.T, g.conj().T)):
+        for _ in range(3):
+            v = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+            got = ev.solve(v, trans)
+            assert got.shape == (12,)
+            assert rel_err(got, op @ v) <= 1e-12
+            assert rel_err(got, ev.solve(v[:, None], trans)[:, 0]) <= 1e-12
 
 
-def test_inverse_norm_matches_pivoted_power_iteration():
+def test_vector_solve_leaves_its_operand_and_the_factors_untouched():
+    # The interchanges and triangular solves can work in place. Only the
+    # solve's own copies may be written, never the caller's vector or the LU
+    # that later solves of the evaluation share. Blocks read by the optimizers
+    # are covered by test_evaluation_and_optimizers_leave_blocks_untouched.
+    rng = np.random.default_rng(14)
+    ev, _ = pivoting_evaluation(rng, 12)
+    v = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+    before = (v.copy(), ev._lu[0].copy(), ev._lu[1].copy())
+    for trans in (0, 1, 2):
+        got = ev.solve(v, trans)
+        assert not np.shares_memory(got, v)
+        for want, after in zip(before, (v, *ev._lu)):
+            assert np.array_equal(after, want)
+
+
+def test_warm_started_inverse_norm_matches_dense_with_interchanges():
     rng = np.random.default_rng(12)
     n = 12
     ev, g = pivoting_evaluation(rng, n)
     v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    want = np.linalg.norm(g, 2)
     for start in (None, v0):
-        got, got_vec = _inverse_norm(ev, start)
-        want, want_vec = _power_norm(ev.solve, n, v0=start)
-        assert_allclose(got, want, rtol=1e-12)
-        assert np.linalg.norm(got_vec - want_vec) <= 1e-12 * np.linalg.norm(want_vec)
-        assert_allclose(got, np.linalg.norm(g, 2), rtol=1e-5)
-
-
-def test_inverse_norm_leaves_its_start_and_the_factors_untouched():
-    # The interchanges and triangular solves can work in place. Only the
-    # norm's own copies may be written, never the caller's warm start or the
-    # LU that later solves of the evaluation share. Blocks read by the
-    # optimizers are covered by test_evaluation_and_optimizers_leave_blocks_untouched.
-    rng = np.random.default_rng(14)
-    ev, _ = pivoting_evaluation(rng, 12)
-    v0 = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-    before = (v0.copy(), ev._lu[0].copy(), ev._lu[1].copy())
-    _, vec = _inverse_norm(ev, v0)
-    assert not np.shares_memory(vec, v0)
-    for want, got in zip(before, (v0, *ev._lu)):
-        assert np.array_equal(got, want)
+        got, vec = _power_norm(ev.solve, n, v0=start)
+        assert_allclose(got, want, rtol=1e-5)
+        # The returned vector warm-starts the next estimate.
+        assert_allclose(_power_norm(ev.solve, n, v0=vec)[0], want, rtol=1e-5)
 
 
 def test_inverse_norm_of_an_empty_surface():
     f = fold_esos(random_impedance_set(np.random.default_rng(13), n_ris=0))
     ev = LoadEvaluation(f, RisLoads(0.2, np.zeros(0), Q_TABLE))
-    norm, vec = _inverse_norm(ev)
+    norm, vec = _power_norm(ev.solve, 0)
     assert norm == 0.0
     assert vec.shape == (0,)
 
@@ -319,7 +324,7 @@ def test_delta_solve_matches_dense_system(overrides):
     opt = OptimizerConfig()
     state = initial_state(f, opt)
     ds = build_delta_system(f, state)
-    solve_delta(ds, state.W, opt.sigma_n2, state.g_norm)
+    delta = solve_delta(ds, state.W, opt.sigma_n2, state.g_norm)
 
     n = f.n_ris
     gram = opt.sigma_n2 * np.eye(n, dtype=complex)
@@ -332,7 +337,9 @@ def test_delta_solve_matches_dense_system(overrides):
         t = h_r @ state.W
         gram += t @ t.conj().T
     want = np.linalg.solve(gram, b)
-    assert np.linalg.norm(ds.delta_tilde - want) < 1e-10 * np.linalg.norm(want)
+    # The returned step is the solve scaled so its largest entry is 1/g_norm.
+    want /= np.abs(want).max() * state.g_norm
+    assert np.linalg.norm(delta - want) < 1e-10 * np.linalg.norm(want)
     # The regularized normal matrix stays positive definite.
     eigs = np.linalg.eigvalsh(gram)
     assert eigs.min() >= opt.sigma_n2 * (1 - 1e-9)
