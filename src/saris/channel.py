@@ -11,6 +11,7 @@ same evaluation path so that model-gap comparisons are apples to apples.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,20 +49,22 @@ class RisLoads:
     q_interval: tuple[float, float]
 
     def __post_init__(self):
-        self.x = np.atleast_1d(np.asarray(self.x, dtype=float))
+        x = self.x
+        if not (type(x) is np.ndarray and x.ndim == 1 and x.dtype == np.float64):
+            self.x = x = np.atleast_1d(np.asarray(x, dtype=float))
         lo, hi = self.q_interval
         if not lo <= hi:
             raise ValueError(f"empty reactance interval [{lo}, {hi}]")
-        # Comparisons with NaN are false, so the range checks below pass it.
-        if not np.isfinite(self.r0) or not np.isfinite(self.x).all():
+        # NaN and +-inf in x reach its min or max, so one pass serves the
+        # finite check and the range check; comparisons with NaN are false,
+        # so the range check alone would pass it.
+        x_min, x_max = (x.min(), x.max()) if x.size else (0.0, 0.0)
+        if not (math.isfinite(self.r0) and math.isfinite(x_min) and math.isfinite(x_max)):
             raise ValueError("load resistance and reactances must be finite")
         if self.r0 < 0:
             raise ValueError(f"load resistance must be non-negative, got {self.r0}")
-        if self.x.size and (self.x.min() < lo or self.x.max() > hi):
-            raise ValueError(
-                f"reactance outside [{lo}, {hi}]: range "
-                f"[{self.x.min()}, {self.x.max()}]"
-            )
+        if x.size and (x_min < lo or x_max > hi):
+            raise ValueError(f"reactance outside [{lo}, {hi}]: range [{x_min}, {x_max}]")
 
     @property
     def n(self) -> int:
@@ -81,12 +84,14 @@ class FoldedChannel:
     """Channel quantities left after eliminating the ESO block.
 
     H_E2E(Z_RIS) = Z_RL [Z_ROT - Z_ROS (Z_SS + Z_SOS + Z_RIS)^-1 Z_SOT] Z_TG,
-    and H_d = Z_RL Z_ROT Z_TG is the load-independent part. Z_SS rides along
-    because every evaluation needs it next to Z_SOS.
+    and H_d = Z_RL Z_ROT Z_TG is the load-independent part.
 
-    The load-independent factors v = Z_RL Z_ROS and B = Z_SOT Z_TG of the
-    RIS term are formed once here. Their four source blocks are made
-    read-only and the fields cannot be rebound, so v and B never go stale.
+    The load-independent pieces are formed once here: the factors
+    v = Z_RL Z_ROS and B = Z_SOT Z_TG of the RIS term, the inner block
+    A = Z_SS + Z_SOS (Fortran-ordered), to which each evaluation adds only the
+    load diagonal, and A_off[j] = sum_{i != j} |A_ij|, which gives the 1-norm
+    of every S = A + Z_RIS in O(N). Their six source blocks are made
+    read-only and the fields cannot be rebound, so none of them goes stale.
     """
 
     Z_ROT: np.ndarray
@@ -99,16 +104,25 @@ class FoldedChannel:
     Z_SS: np.ndarray
     v: np.ndarray = field(init=False, repr=False)
     B: np.ndarray = field(init=False, repr=False)
+    A: np.ndarray = field(init=False, repr=False)
+    A_off: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        for block in (self.Z_ROS, self.Z_SOT, self.Z_RL, self.Z_TG):
+        for block in (self.Z_ROS, self.Z_SOT, self.Z_RL, self.Z_TG, self.Z_SS, self.Z_SOS):
             block.flags.writeable = False
         v = self.Z_RL @ self.Z_ROS
         # Fortran order, so the solves against S copy it without transposing.
         b = np.asfortranarray(self.Z_SOT @ self.Z_TG)
-        v.flags.writeable = b.flags.writeable = False
+        a = np.add(self.Z_SS, self.Z_SOS, order="F")
+        abs_a = np.abs(a)
+        np.fill_diagonal(abs_a, 0.0)
+        a_off = abs_a.sum(axis=0)
+        for derived in (v, b, a, a_off):
+            derived.flags.writeable = False
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "B", b)
+        object.__setattr__(self, "A", a)
+        object.__setattr__(self, "A_off", a_off)
 
     @property
     def l_rx(self) -> int:
@@ -123,11 +137,13 @@ class FoldedChannel:
         return self.Z_SS.shape[0]
 
 
-def _guarded_lu(a: np.ndarray, name: str):
+def _guarded_lu(a: np.ndarray, name: str, anorm: float | None = None):
     """LU factors (lu, piv) of a square matrix, rejecting near-singular blocks
     by a reciprocal condition estimate. A Fortran-ordered complex `a` is
-    factored in place, so callers pass a temporary."""
-    anorm = np.linalg.norm(a, 1)
+    factored in place, so callers pass a temporary. `anorm` is the 1-norm of
+    `a` when the caller already knows it."""
+    if anorm is None:
+        anorm = np.linalg.norm(a, 1)
     if not np.isfinite(anorm):
         raise SingularBlockError(name, np.inf)
     # An exactly singular factor (getrf info > 0) has rcond 0 and is reported
@@ -188,8 +204,9 @@ def fold_esos(z: ImpedanceSet) -> FoldedChannel:
 
 def scatter_matrix(f: FoldedChannel, loads: RisLoads) -> np.ndarray:
     """The load-dependent inner matrix Z_SS + Z_SOS + Z_RIS, Fortran-ordered
-    as LAPACK wants it."""
-    s = np.add(f.Z_SS, f.Z_SOS, order="F")
+    as LAPACK wants it: a copy of the cached A = Z_SS + Z_SOS with the load
+    diagonal added."""
+    s = f.A.copy(order="F")
     # The diagonal as a strided view of the freshly made Fortran buffer.
     s.reshape(-1, order="F")[:: len(s) + 1] += loads.z_diagonal
     return s
@@ -199,15 +216,19 @@ class LoadEvaluation:
     """The channel h = H_d - v a_mat at one load setting, from one guarded LU
     of S = Z_SS + Z_SOS + Z_RIS, with v = Z_RL Z_ROS and a_mat = S^-1 B,
     B = Z_SOT Z_TG (both from the folded channel). Other uses of S^-1 go
-    through solve, so the inverse is never formed."""
+    through solve, so the inverse is never formed. Only the diagonal of S
+    changes with the loads, so its 1-norm for the condition estimate is
+    max_j (A_off[j] + |S_jj|) and needs no pass over the whole matrix."""
 
     def __init__(self, f: FoldedChannel, loads: RisLoads):
         if loads.n != f.n_ris:
             raise ValueError(f"loads have {loads.n} entries, channel expects {f.n_ris}")
         self.loads = loads
-        self._lu = (
-            _guarded_lu(scatter_matrix(f, loads), "Z_SS + Z_SOS + Z_RIS") if loads.n else None
-        )
+        self._lu = None
+        if loads.n:
+            s = scatter_matrix(f, loads)
+            anorm = (f.A_off + np.abs(s.diagonal())).max()
+            self._lu = _guarded_lu(s, "Z_SS + Z_SOS + Z_RIS", anorm)
         self.v = f.v
         self.a_mat = self.solve(f.B)
         self.h = f.H_d - self.v @ self.a_mat
@@ -255,7 +276,7 @@ def interaction_free(f: FoldedChannel, z: ImpedanceSet) -> FoldedChannel:
         Z_RL=f.Z_RL,
         Z_TG=f.Z_TG,
         H_d=f.H_d,
-        Z_SS=np.array(z.Z_SS, order="F"),
+        Z_SS=f.Z_SS,
     )
 
 

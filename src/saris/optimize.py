@@ -10,6 +10,7 @@ applied and clamped to the feasible reactance interval.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,8 +25,8 @@ from saris.channel import (
 )
 from saris.dipoles import ImpedanceSet
 
-_herk = get_blas_funcs("herk", dtype=np.complex128)
-_gesv, _potrf, _potrs = get_lapack_funcs(("gesv", "potrf", "potrs"), dtype=np.complex128)
+_herk, _trsv = get_blas_funcs(("herk", "trsv"), dtype=np.complex128)
+_gesv, _potrf = get_lapack_funcs(("gesv", "potrf"), dtype=np.complex128)
 
 
 class DegenerateChannelError(ValueError):
@@ -47,14 +48,25 @@ class OptimizerConfig:
     x_init: np.ndarray | None = None
 
     def __post_init__(self):
-        if not self.power > 0:
-            raise ValueError(f"power must be positive, got {self.power}")
-        if not self.sigma_n2 > 0:
-            raise ValueError(f"sigma_n2 must be positive, got {self.sigma_n2}")
+        # Each message starts with the field name, which the CLI maps to its
+        # flag.
+        if not (math.isfinite(self.power) and self.power > 0):
+            raise ValueError(f"power must be finite and positive, got {self.power}")
+        if not (math.isfinite(self.sigma_n2) and self.sigma_n2 > 0):
+            raise ValueError(f"sigma_n2 must be finite and positive, got {self.sigma_n2}")
         if not self.epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+        if (
+            not isinstance(self.max_iter, (int, np.integer))
+            or isinstance(self.max_iter, bool)
+            or self.max_iter < 1
+        ):
+            raise ValueError(f"max_iter must be an integer of at least 1, got {self.max_iter!r}")
+        lo, hi = self.q_interval
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+            raise ValueError(f"q_interval must be finite with lo <= hi, got {self.q_interval}")
+        if not (math.isfinite(self.r0) and self.r0 >= 0):
+            raise ValueError(f"r0 must be finite and non-negative, got {self.r0}")
 
     def initial_reactances(self, n: int) -> np.ndarray:
         if self.x_init is None:
@@ -119,10 +131,12 @@ class DeltaStep:
 def smse_and_rate(h: np.ndarray, W: np.ndarray, sigma_n2: float) -> tuple[float, float]:
     """(smse, sum_rate) of channel h and precoder W from one product h W."""
     e = h @ W
-    p = np.abs(e) ** 2
-    err = p.sum() - 2.0 * e.trace().real + h.shape[0] * (1.0 + sigma_n2)
+    p = np.abs(e)
+    p *= p
+    received = p.sum(axis=1)
+    err = received.sum() - 2.0 * e.trace().real + h.shape[0] * (1.0 + sigma_n2)
     desired = p.diagonal()
-    sinr = desired / (p.sum(axis=1) - desired + sigma_n2)
+    sinr = desired / (received - desired + sigma_n2)
     return float(err), float(np.log2(1.0 + sinr).sum())
 
 
@@ -140,7 +154,8 @@ def _precoder_solve(H: np.ndarray, power: float, sigma_n2: float):
     """(optimal precoder, stationarity residual of its normal equations
     relative to the channel norm) from one LAPACK gesv."""
     l_rx, m_tx = H.shape
-    if not H.any():
+    h_norm = _vec_norm(H)
+    if h_norm == 0.0:
         raise DegenerateChannelError("channel matrix is zero")
     h_h = H.conj().T
     a = h_h @ H
@@ -148,8 +163,13 @@ def _precoder_solve(H: np.ndarray, power: float, sigma_n2: float):
     _, _, w_bar, info = _gesv(a, h_h)
     if info > 0:
         raise np.linalg.LinAlgError("precoder system is singular")
-    residual = float(_vec_norm(a @ w_bar - h_h) / _vec_norm(H))
-    return np.sqrt(power) * w_bar / _vec_norm(w_bar), residual
+    residual = _vec_norm(a @ w_bar - h_h) / h_norm
+    # gesv returned its own copy of the right-hand side, so w_bar is scaled
+    # in place.
+    w_norm = _vec_norm(w_bar)
+    w_bar *= math.sqrt(power)
+    w_bar /= w_norm
+    return w_bar, residual
 
 
 def optimal_precoder(H: np.ndarray, power: float, sigma_n2: float) -> np.ndarray:
@@ -160,7 +180,7 @@ def optimal_precoder(H: np.ndarray, power: float, sigma_n2: float) -> np.ndarray
 def _vec_norm(v: np.ndarray) -> float:
     """Euclidean (Frobenius) norm of a complex array from one BLAS dot
     product."""
-    return np.sqrt(np.vdot(v, v).real)
+    return math.sqrt(np.vdot(v, v).real)
 
 
 def _power_norm(apply, n: int, tol: float = 1e-6, max_iter: int = 200, v0=None):
@@ -183,7 +203,8 @@ def _power_norm(apply, n: int, tol: float = 1e-6, max_iter: int = 200, v0=None):
         v_norm = _vec_norm(v)
         if v_norm == 0.0:
             return float(sigma_new), av / sigma_new
-        v = v / v_norm
+        # apply returns a new array, so it is normalized in place.
+        v /= v_norm
         if abs(sigma_new - sigma) <= tol * sigma_new:
             sigma = sigma_new
             break
@@ -199,7 +220,7 @@ def build_delta_system(f: FoldedChannel, state: OptimizerState) -> DeltaStep:
     state.evaluation belongs to other loads than state currently holds.
     """
     ev = state.evaluation
-    if not np.array_equal(ev.loads.x, state.loads.x):
+    if ev.loads is not state.loads and not np.array_equal(ev.loads.x, state.loads.x):
         raise StaleStateError("state.evaluation does not correspond to state.loads")
     return DeltaStep(u=ev.solve(ev.v.T, 1).T, a_mat=ev.a_mat, h=ev.h)
 
@@ -217,18 +238,18 @@ def solve_delta(ds: DeltaStep, W: np.ndarray, sigma_n2: float, g_norm: float) ->
     if n == 0:
         # BLAS and LAPACK wrappers reject empty operands.
         return np.zeros(0, dtype=complex)
-    # With h_r,l = u_l * a_mat, b = sum_l h_r,l c_l = sum_l u_l * (a_mat C)_l
-    # for C = W - W W^H h^H, and T = [h_r,l W]_l (N x L^2) has column (l, l')
-    # u_l * (a_mat W)_l'.
+    # With h_r,l = u_l * a_mat, T = [h_r,l W]_l (N x L^2) has column (l, l')
+    # u_l * (a_mat W)_l', and b = sum_l h_r,l c_l for C = W - W W^H h^H
+    # expands to T g with g = vec(I - conj(h W)), row-major.
     u_t = ds.u.T
-    c = W - W @ (W.conj().T @ ds.h.conj().T)
-    b = np.einsum("nl,nl->n", ds.a_mat @ c, u_t)
     t = (u_t[:, :, None] * (ds.a_mat @ W)[:, None, :]).reshape(n, l_rx * l_rx)
-    # The normal matrix sigma^2 I + T T^H from one herk into the lower
-    # triangle of a Fortran-ordered buffer.
-    gram = np.zeros((n, n), dtype=complex, order="F")
-    gram.reshape(-1, order="F")[:: n + 1] = sigma_n2
-    gram = _herk(1.0, t, beta=1.0, c=gram, lower=1, overwrite_c=1)
+    g = -(ds.h @ W).conj()
+    g.reshape(-1)[:: l_rx + 1] += 1.0
+    b = t @ g.reshape(-1)
+    # The normal matrix sigma^2 I + T T^H: one herk at beta = 0 into the lower
+    # triangle of its own Fortran-ordered output, then the diagonal view.
+    gram = _herk(1.0, t, lower=1)
+    gram.reshape(-1, order="F")[:: n + 1] += sigma_n2
     # A non-finite T or sigma^2 shows on the diagonal, which bounds every
     # other entry of the normal matrix.
     if not (np.isfinite(gram.diagonal()).all() and np.isfinite(b).all()):
@@ -236,11 +257,16 @@ def solve_delta(ds: DeltaStep, W: np.ndarray, sigma_n2: float, g_norm: float) ->
     chol, info = _potrf(gram, lower=1, clean=0, overwrite_a=1)
     if info > 0:
         raise np.linalg.LinAlgError(f"load system is not positive definite (minor {info})")
-    direction, _ = _potrs(chol, b, lower=1)
+    # gram = L L^H: solve L y = b, then L^H x = y, in place in b. trsv(a, x,
+    # incx, offx, lower, trans, diag, overwrite_x) is called positionally, and
+    # not through potrs, which packs the whole factor for trsm on every call.
+    direction = _trsv(chol, b, 1, 0, 1, 0, 0, 1)
+    direction = _trsv(chol, direction, 1, 0, 1, 2, 0, 1)
     peak = np.abs(direction).max()
     if peak == 0.0:
         return np.zeros(n, dtype=complex)
-    return direction / (peak * g_norm)
+    direction /= peak * g_norm
+    return direction
 
 
 _MAX_HALVINGS = 60
@@ -281,12 +307,13 @@ def saris_optimize(f: FoldedChannel, config: OptimizerConfig) -> OptimizerState:
         power_err = abs(np.vdot(state.W, state.W).real - config.power) / config.power
         state.w_power_error_trace.append(power_err)
 
+    lo, hi = config.q_interval
+
     def record_feasibility():
-        z_diag = state.loads.z_diagonal
+        x = state.loads.x
         ok = bool(
-            (z_diag.real == config.r0).all()
-            and (state.loads.x >= config.q_interval[0]).all()
-            and (state.loads.x <= config.q_interval[1]).all()
+            (state.loads.z_diagonal.real == config.r0).all()
+            and (not x.size or (x.min() >= lo and x.max() <= hi))
         )
         state.feasible_trace.append(ok)
 
@@ -318,7 +345,7 @@ def saris_optimize(f: FoldedChannel, config: OptimizerConfig) -> OptimizerState:
         step = delta
         halvings = 0
         while True:
-            x_cand = np.clip(state.loads.x - np.imag(step), *config.q_interval)
+            x_cand = np.minimum(np.maximum(state.loads.x - step.imag, lo), hi)
             cand = LoadEvaluation(f, RisLoads(config.r0, x_cand, config.q_interval))
             smse_cand, rate_cand = smse_and_rate(cand.h, w, config.sigma_n2)
             if smse_cand <= smse_w or halvings >= _MAX_HALVINGS:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from saris import channel
 from saris.channel import (
     FoldedChannel,
     LoadEvaluation,
@@ -21,6 +22,7 @@ from saris.channel import (
     scatter_matrix,
 )
 from saris.optimize import OptimizerConfig, mismatched_optimize, saris_optimize
+from saris.scenario import ScenarioConfig
 
 from _helpers import (
     Q_TABLE,
@@ -135,6 +137,7 @@ def test_interaction_free_shares_direct_path():
     g = interaction_free(f, z)
     assert g.Z_ROT is f.Z_ROT
     assert g.H_d is f.H_d
+    assert np.shares_memory(g.Z_SS, f.Z_SS)
     assert np.array_equal(g.Z_ROS, -z.Z_RS)
     assert np.array_equal(g.Z_SOT, -z.Z_ST)
     assert not g.Z_SOS.any()
@@ -231,7 +234,9 @@ def test_singular_scatter_matrix_raises():
     loads = random_loads(rng, z.n_ris)
     # Cancel the first row of the load-dependent inner matrix down to
     # round-off, leaving it numerically rank deficient.
-    f.Z_SS[0, :] = -(f.Z_SOS[0, :] + loads.matrix()[0, :])
+    block = f.Z_SS.copy()
+    block[0, :] = -(f.Z_SOS[0, :] + loads.matrix()[0, :])
+    f = dataclasses.replace(f, Z_SS=block)
     residual = np.abs(scatter_matrix(f, loads)[0]).max()
     assert residual < 1e-10 * np.abs(f.Z_SS).max()
     with pytest.raises(SingularBlockError):
@@ -265,15 +270,17 @@ def test_in_place_factors_match_lu_factor(model):
 
 def test_evaluation_and_optimizers_leave_blocks_untouched():
     # The scatter matrix is factored in place; it must be a fresh buffer every
-    # time, never the stored blocks or the once-per-channel factors v and B.
+    # time, never the stored blocks or the once-per-channel A, v and B.
     z, f = folded_scenario(tiny_config())
-    before = (z.full_matrix().copy(), f.Z_SS.copy(), f.Z_SOS.copy(), f.v.copy(), f.B.copy())
+    before = (
+        z.full_matrix().copy(), f.Z_SS.copy(), f.Z_SOS.copy(), f.A.copy(), f.v.copy(), f.B.copy()
+    )
     loads = RisLoads(0.2, np.full(f.n_ris, -150.0), Q_TABLE)
     LoadEvaluation(f, loads)
     opt = OptimizerConfig(epsilon=1e-10, max_iter=10)
     saris_optimize(f, opt)
     mismatched_optimize(f, z, opt)
-    after = (z.full_matrix(), f.Z_SS, f.Z_SOS, f.v, f.B)
+    after = (z.full_matrix(), f.Z_SS, f.Z_SOS, f.A, f.v, f.B)
     for want, got in zip(before, after):
         assert np.array_equal(got, want)
 
@@ -285,9 +292,61 @@ def test_channel_factors_cannot_go_stale(model):
         f = interaction_free(f, z)
     assert np.array_equal(f.v, f.Z_RL @ f.Z_ROS)
     assert np.array_equal(f.B, f.Z_SOT @ f.Z_TG)
-    # Neither the factors nor their source blocks can be written or rebound.
-    for name in ("v", "B", "Z_RL", "Z_ROS", "Z_SOT", "Z_TG"):
+    assert f.A.tobytes() == (f.Z_SS + f.Z_SOS).tobytes()
+    assert f.A.flags.f_contiguous
+    off = np.abs(f.A - np.diag(np.diag(f.A)))
+    assert_allclose(f.A_off, off.sum(axis=0), rtol=1e-15, atol=0)
+    # Neither the cached values nor their source blocks can be written or
+    # rebound.
+    for name in ("v", "B", "A", "A_off", "Z_RL", "Z_ROS", "Z_SOT", "Z_TG", "Z_SS", "Z_SOS"):
         with pytest.raises(ValueError, match="read-only"):
-            getattr(f, name)[0, 0] = 0.0
+            getattr(f, name)[...] = 0.0
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(f, name, getattr(f, name).copy())
+
+
+def test_replaced_block_recomputes_cached_inner_block():
+    rng = np.random.default_rng(16)
+    f = fold_esos(random_impedance_set(rng))
+    block = rng.standard_normal((f.n_ris, f.n_ris)) + 1j * rng.standard_normal((f.n_ris, f.n_ris))
+    g = dataclasses.replace(f, Z_SS=block)
+    assert g.A.tobytes() == (block + f.Z_SOS).tobytes()
+    assert_allclose(g.A_off, np.abs(g.A - np.diag(np.diag(g.A))).sum(axis=0), rtol=1e-15)
+    assert f.A.tobytes() == (f.Z_SS + f.Z_SOS).tobytes()
+
+
+def test_condition_estimate_gets_the_exact_one_norm(monkeypatch):
+    # LoadEvaluation hands _guarded_lu the 1-norm of S from the cached
+    # off-diagonal column sums and the load diagonal; it must match the norm
+    # of the full matrix.
+    rng = np.random.default_rng(17)
+    folded = [
+        folded_scenario(ScenarioConfig())[1],
+        folded_scenario(dataclasses.replace(ScenarioConfig(), N=256, N_c=1, N_O=20))[1],
+    ]
+    for _ in range(20):
+        z = random_impedance_set(
+            rng, n_eso=int(rng.integers(0, 13)), n_ris=int(rng.integers(1, 9))
+        )
+        folded += [fold_esos(z), interaction_free(fold_esos(z), z)]
+    # A block large enough to make the LU pivot.
+    f = fold_esos(random_impedance_set(rng, n_ris=12))
+    folded.append(
+        dataclasses.replace(
+            f, Z_SS=1e3 * (rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12)))
+        )
+    )
+    seen = []
+    guarded = channel._guarded_lu
+
+    def spy(a, name, anorm=None):
+        seen.append((anorm, np.linalg.norm(a, 1)))
+        return guarded(a, name, anorm)
+
+    monkeypatch.setattr(channel, "_guarded_lu", spy)
+    for f in folded:
+        for _ in range(3):
+            LoadEvaluation(f, random_loads(rng, f.n_ris))
+    assert len(seen) == 3 * len(folded)
+    for got, want in seen:
+        assert abs(got - want) <= 1e-14 * want

@@ -1,5 +1,8 @@
 """Objective, precoder, load-perturbation solve, and the alternating loop."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -161,12 +164,71 @@ def test_load_evaluation_matches_dense_inverse():
     assert_allclose(_power_norm(ev.solve, f.n_ris)[0], np.linalg.norm(g, 2), rtol=1e-5)
 
 
+def traced_peak_blocks(fn, n):
+    """Peak traced allocation while fn() runs, in units of one complex N x N
+    block (16 N^2 bytes). numpy reports its buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - base) / (16 * n * n)
+
+
+def test_load_evaluation_allocates_one_block():
+    # S is a copy of the cached A with the loads on its diagonal, factored in
+    # place; its 1-norm comes from the cached column sums without an N x N
+    # absolute value.
+    n = 256
+    f = fold_esos(random_impedance_set(np.random.default_rng(30), n_ris=n))
+    loads = RisLoads(0.2, np.full(n, -150.0), Q_TABLE)
+    assert traced_peak_blocks(lambda: LoadEvaluation(f, loads), n) <= 1.1
+
+
+def test_load_step_allocates_one_block():
+    # The normal matrix is the only N x N buffer of the load step.
+    n, l_rx, m_tx = 256, 2, 3
+    rng = np.random.default_rng(31)
+    ds = DeltaStep(
+        u=random_channel(rng, l_rx, n),
+        a_mat=random_channel(rng, n, m_tx),
+        h=random_channel(rng, l_rx, m_tx),
+    )
+    w = random_channel(rng, m_tx, l_rx)
+    assert traced_peak_blocks(lambda: solve_delta(ds, w, 1e-11, 1.0), n) <= 1.1
+
+
+def test_in_place_steps_leave_their_inputs_untouched():
+    # solve_delta, the precoder, the scores and the power iteration scale or
+    # normalize their own results in place; none may write to what it reads.
+    rng = np.random.default_rng(32)
+    ev, _ = pivoting_evaluation(rng, 12)
+    u = ev.solve(ev.v.T, 1).T
+    ds = DeltaStep(u=u, a_mat=ev.a_mat, h=ev.h)
+    w = optimal_precoder(ds.h, 1.0, 1e-11)
+    v0 = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+    inputs = (ds.u, ds.a_mat, ds.h, w, v0, *ev._lu)
+    before = [a.copy() for a in inputs]
+    solve_delta(ds, w, 1e-11, 1.0)
+    w_new, _ = _precoder_solve(ds.h, 1.0, 1e-11)
+    assert not np.shares_memory(w_new, ds.h)
+    smse_and_rate(ds.h, w, 1e-11)
+    _, vec = _power_norm(ev.solve, 12, v0=v0)
+    assert not np.shares_memory(vec, v0)
+    for want, got in zip(before, inputs):
+        assert np.array_equal(got, want)
+
+
 def pivoting_evaluation(rng, n):
     """A load evaluation whose LU swaps rows. Generated deployments and
     random impedance sets factor with identity pivots, so Z_SS is replaced
     by a large random block that outweighs the load diagonal."""
     f = fold_esos(random_impedance_set(rng, n_ris=n))
-    f.Z_SS[:] = 1e3 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    f = dataclasses.replace(
+        f, Z_SS=1e3 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    )
     loads = RisLoads(0.2, np.full(n, -150.0), Q_TABLE)
     ev = LoadEvaluation(f, loads)
     assert (ev._lu[1] != np.arange(n)).sum() >= n // 2
@@ -423,6 +485,26 @@ def test_optimizer_config_validation():
         OptimizerConfig(max_iter=0)
     with pytest.raises(ValueError):
         OptimizerConfig(x_init=np.zeros(3)).initial_reactances(4)
+    # Values that used to pass construction and fail only inside the loop.
+    # Each message starts with the field name, which the CLI maps to a flag.
+    for field, bad in [
+        ("max_iter", 2.5),
+        ("max_iter", True),
+        ("max_iter", np.float64(3.0)),
+        ("power", np.inf),
+        ("power", np.nan),
+        ("sigma_n2", np.inf),
+        ("q_interval", (-19.66, -302.50)),
+        ("q_interval", (-np.inf, -19.66)),
+        ("q_interval", (-302.50, np.nan)),
+        ("r0", -1.0),
+        ("r0", np.inf),
+        ("r0", np.nan),
+    ]:
+        with pytest.raises(ValueError, match=f"^{field} "):
+            OptimizerConfig(**{field: bad})
+    assert OptimizerConfig(max_iter=np.int64(7)).max_iter == 7
+    assert OptimizerConfig(q_interval=(-50.0, -50.0), r0=0.0).r0 == 0.0
     assert_allclose(OptimizerConfig(x_init=-100.0).initial_reactances(3), -100.0)
     mid = OptimizerConfig().initial_reactances(2)
     assert_allclose(mid, 0.5 * (-302.50 - 19.66))
