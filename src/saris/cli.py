@@ -81,16 +81,7 @@ def _run_trial(payload):
 
     Module-level so worker processes can unpickle it.
     """
-    config_text, trial, algos, epsilon, max_iter, baseline_trials = payload
-    config = parse_config(config_text)
-    opt_config = OptimizerConfig(
-        power=config.P,
-        sigma_n2=config.sigma_n2,
-        epsilon=epsilon,
-        max_iter=max_iter,
-        q_interval=config.Q_interval,
-        r0=config.R0,
-    )
+    config, opt_config, trial, algos, baseline_trials = payload
     dipoles = generate(config, trial)
     z = assemble_impedances(
         dipoles, config.wavelength, z_g=config.Z_G, z_l=config.Z_L, z_us=config.Z_US
@@ -144,11 +135,9 @@ def _worker_pool(jobs: int):
             os.environ.pop(name, None)
 
 
-def _execute_trials(config: ScenarioConfig, algos, epsilon, max_iter, baseline_trials, jobs):
-    text = serialize_config(config)
+def _execute_trials(config: ScenarioConfig, opt_config, algos, baseline_trials, jobs):
     payloads = [
-        (text, trial, algos, epsilon, max_iter, baseline_trials)
-        for trial in range(config.trials)
+        (config, opt_config, trial, algos, baseline_trials) for trial in range(config.trials)
     ]
     if jobs <= 1 or len(payloads) <= 1:
         results = [_run_trial(p) for p in payloads]
@@ -244,8 +233,19 @@ def _check_run_options(args, algos) -> None:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     if "random" in algos and args.baseline_trials < 1:
         raise ConfigError(f"--baseline-trials must be at least 1, got {args.baseline_trials}")
+
+
+def _optimizer_config(config: ScenarioConfig, args) -> OptimizerConfig:
+    """The optimizer settings every realization of `config` runs with."""
     try:
-        OptimizerConfig(epsilon=args.epsilon, max_iter=args.max_iter)
+        return OptimizerConfig(
+            power=config.P,
+            sigma_n2=config.sigma_n2,
+            epsilon=args.epsilon,
+            max_iter=args.max_iter,
+            q_interval=config.Q_interval,
+            r0=config.R0,
+        )
     except ValueError as exc:
         # Each message starts with the offending field's name.
         flag = "--" + str(exc).split()[0].replace("_", "-")
@@ -256,11 +256,10 @@ def cmd_run(args) -> int:
     config = _load_config(args)
     algos = _requested_algos(args.algo)
     _check_run_options(args, algos)
+    opt_config = _optimizer_config(config, args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    records = _execute_trials(
-        config, algos, args.epsilon, args.max_iter, args.baseline_trials, args.jobs
-    )
+    records = _execute_trials(config, opt_config, algos, args.baseline_trials, args.jobs)
 
     trace_rows = []
     for record in records:
@@ -345,14 +344,13 @@ def cmd_sweep(args) -> int:
     points = [_sweep_value(config, var, token) for token in tokens]
     algos = _requested_algos(args.algo)
     _check_run_options(args, algos)
+    opt_configs = [_optimizer_config(point_config, args) for point_config, _ in points]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     sweep_rows = []
-    for point_config, label in points:
-        records = _execute_trials(
-            point_config, algos, args.epsilon, args.max_iter, args.baseline_trials, args.jobs
-        )
+    for (point_config, label), opt_config in zip(points, opt_configs):
+        records = _execute_trials(point_config, opt_config, algos, args.baseline_trials, args.jobs)
         for row in _summarize(records, algos):
             sweep_rows.append(
                 [
@@ -394,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--epsilon",
             type=float,
             default=OptimizerConfig.epsilon,
-            help="stop when |ΔSMSE| ≤ epsilon",
+            help="stop when |ΔSMSE| between consecutive iterations ≤ epsilon",
         )
         p.add_argument("--max-iter", type=int, default=OptimizerConfig.max_iter)
         p.add_argument(

@@ -54,8 +54,8 @@ class OptimizerConfig:
             raise ValueError(f"power must be finite and positive, got {self.power}")
         if not (math.isfinite(self.sigma_n2) and self.sigma_n2 > 0):
             raise ValueError(f"sigma_n2 must be finite and positive, got {self.sigma_n2}")
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
         if (
             not isinstance(self.max_iter, (int, np.integer))
             or isinstance(self.max_iter, bool)
@@ -232,12 +232,13 @@ def solve_delta(ds: DeltaStep, W: np.ndarray, sigma_n2: float, g_norm: float) ->
     the outer loop treats as convergence. Otherwise the perturbation is
     scaled so its largest entry sits exactly at the trust bound 1/g_norm.
     """
-    if not g_norm > 0:
-        raise ValueError(f"g_norm must be positive, got {g_norm}")
     n, l_rx = ds.a_mat.shape[0], ds.h.shape[0]
     if n == 0:
-        # BLAS and LAPACK wrappers reject empty operands.
+        # BLAS and LAPACK wrappers reject empty operands, and an empty
+        # surface has no S^-1 to bound (g_norm is 0).
         return np.zeros(0, dtype=complex)
+    if not g_norm > 0:
+        raise ValueError(f"g_norm must be positive, got {g_norm}")
     # With h_r,l = u_l * a_mat, T = [h_r,l W]_l (N x L^2) has column (l, l')
     # u_l * (a_mat W)_l', and b = sum_l h_r,l c_l for C = W - W W^H h^H
     # expands to T g with g = vec(I - conj(h W)), row-major.
@@ -275,19 +276,21 @@ _MAX_HALVINGS = 60
 def saris_optimize(f: FoldedChannel, config: OptimizerConfig) -> OptimizerState:
     """Alternate precoder and load updates until the objective settles.
 
-    The returned state flags convergence; hitting max_iter leaves
-    converged=False rather than raising. The trace entry at index 0 is the
-    starting point (initial loads with their matched precoder); every outer
-    iteration appends exactly one entry. A candidate load update that would
-    raise the objective is halved until it no longer does, so the trace is
-    non-increasing by construction; a step halved to nothing means the current
-    point is as good as this direction gets, which counts as convergence.
+    The trace entry at index 0 is the starting point (initial loads with
+    their matched precoder); every outer iteration appends exactly one entry.
+    Each iteration re-matches the precoder, keeping it only if the objective
+    does not rise, then halves the load step until the candidate loads do not
+    raise it either, so the trace is non-increasing by construction. The loop
+    stops, with converged=True, when the step is zero (a stationary point),
+    when 60 halvings leave no such candidate, or when two consecutive trace
+    entries differ by at most epsilon; hitting max_iter leaves
+    converged=False rather than raising.
 
-    The regularized precoder is not the exact SMSE minimizer, so inside the
-    loop a re-matched precoder that would raise the objective is discarded.
-    After the loop the precoder is matched to the final loads once more,
-    unconditionally, so state.W, final_smse, and final_sum_rate describe a
-    coherent matched pair; final_smse is not a trace entry.
+    The regularized precoder is not the exact SMSE minimizer, which is why the
+    re-match is guarded. After the loop the precoder is matched to the final
+    loads once more, unconditionally, so state.W, final_smse, and
+    final_sum_rate describe a coherent matched pair; final_smse is not a
+    trace entry.
     """
     n = f.n_ris
     x = np.clip(config.initial_reactances(n), *config.q_interval)
@@ -298,8 +301,7 @@ def saris_optimize(f: FoldedChannel, config: OptimizerConfig) -> OptimizerState:
 
     state = OptimizerState(W=w, loads=loads, evaluation=ev, g_norm=g_norm)
     smse_w, rate_w = smse_and_rate(ev.h, w, config.sigma_n2)
-    state.smse_trace.append(smse_w)
-    state.rate_trace.append(rate_w)
+    lo, hi = config.q_interval
 
     def record_w_diagnostics():
         # w_residual belongs to the solve that produced state.W.
@@ -307,70 +309,54 @@ def saris_optimize(f: FoldedChannel, config: OptimizerConfig) -> OptimizerState:
         power_err = abs(np.vdot(state.W, state.W).real - config.power) / config.power
         state.w_power_error_trace.append(power_err)
 
-    lo, hi = config.q_interval
-
-    def record_feasibility():
+    def record_point():
+        state.smse_trace.append(smse_w)
+        state.rate_trace.append(rate_w)
+        # RisLoads gives every cell the one resistance r0, so comparing it
+        # covers the real part of the whole load diagonal.
         x = state.loads.x
-        ok = bool(
-            (state.loads.z_diagonal.real == config.r0).all()
-            and (not x.size or (x.min() >= lo and x.max() <= hi))
-        )
-        state.feasible_trace.append(ok)
+        ok = state.loads.r0 == config.r0 and (not x.size or (x.min() >= lo and x.max() <= hi))
+        state.feasible_trace.append(bool(ok))
 
-    record_feasibility()
+    record_point()
     for i in range(1, config.max_iter + 1):
         state.iteration = i
         ev = state.evaluation
         w_new, residual = _precoder_solve(ev.h, config.power, config.sigma_n2)
-        smse_w, rate_w = smse_and_rate(ev.h, w_new, config.sigma_n2)
-        if smse_w <= state.smse_trace[-1]:
+        smse_new, rate_new = smse_and_rate(ev.h, w_new, config.sigma_n2)
+        # Otherwise smse_w and rate_w still score this channel and state.W.
+        if smse_new <= smse_w:
             state.W, w_residual = w_new, residual
-        else:
-            # The last trace entry scores this same channel and precoder.
-            smse_w, rate_w = state.smse_trace[-1], state.rate_trace[-1]
+            smse_w, rate_w = smse_new, rate_new
         w = state.W
         record_w_diagnostics()
 
-        ds = build_delta_system(f, state)
-        delta = solve_delta(ds, w, config.sigma_n2, g_norm)
-        if not delta.any():
-            state.guard_trace.append(0.0)
-            state.halving_trace.append(0)
-            state.smse_trace.append(smse_w)
-            state.rate_trace.append(rate_w)
-            record_feasibility()
-            state.converged = True
-            break
-
-        step = delta
+        step = solve_delta(build_delta_system(f, state), w, config.sigma_n2, g_norm)
+        cand = None
         halvings = 0
-        while True:
+        while step.any():
             x_cand = np.minimum(np.maximum(state.loads.x - step.imag, lo), hi)
-            cand = LoadEvaluation(f, RisLoads(config.r0, x_cand, config.q_interval))
-            smse_cand, rate_cand = smse_and_rate(cand.h, w, config.sigma_n2)
-            if smse_cand <= smse_w or halvings >= _MAX_HALVINGS:
+            trial = LoadEvaluation(f, RisLoads(config.r0, x_cand, config.q_interval))
+            smse_cand, rate_cand = smse_and_rate(trial.h, w, config.sigma_n2)
+            if smse_cand <= smse_w:
+                cand = trial
+                smse_w, rate_w = smse_cand, rate_cand
+                break
+            if halvings == _MAX_HALVINGS:
+                # Even a vanishing step along this direction does not help.
                 break
             step = step / 2.0
             halvings += 1
-
-        state.guard_trace.append(float(np.abs(step).max() * g_norm))
+        state.guard_trace.append(float(np.abs(step).max(initial=0.0) * g_norm))
         state.halving_trace.append(halvings)
-        if smse_cand > smse_w:
-            # Even a vanishing step along this direction does not help.
-            state.smse_trace.append(smse_w)
-            state.rate_trace.append(rate_w)
-            record_feasibility()
-            state.converged = True
-            break
 
-        g_norm, g_vec = _power_norm(cand.solve, n, v0=g_vec)
-        state.loads = cand.loads
-        state.evaluation = cand
-        state.g_norm = g_norm
-        state.smse_trace.append(smse_cand)
-        state.rate_trace.append(rate_cand)
-        record_feasibility()
-        if abs(state.smse_trace[-1] - state.smse_trace[-2]) <= config.epsilon:
+        if cand is not None:
+            g_norm, g_vec = _power_norm(cand.solve, n, v0=g_vec)
+            state.loads = cand.loads
+            state.evaluation = cand
+            state.g_norm = g_norm
+        record_point()
+        if cand is None or abs(state.smse_trace[-1] - state.smse_trace[-2]) <= config.epsilon:
             state.converged = True
             break
 

@@ -25,7 +25,7 @@ from saris.cli import (
     main,
 )
 from saris.dipoles import GeometryError
-from saris.optimize import DegenerateChannelError
+from saris.optimize import DegenerateChannelError, OptimizerConfig
 from saris.scenario import ConfigError, parse_config, serialize_config
 
 from _helpers import tiny_config
@@ -263,6 +263,7 @@ def test_unknown_algo_is_a_usage_error(tmp_path):
         ["--epsilon", "0"],
         ["--epsilon", "-1"],
         ["--epsilon", "nan"],
+        ["--epsilon", "inf"],
     ],
     ids=[
         "jobs_zero",
@@ -272,6 +273,7 @@ def test_unknown_algo_is_a_usage_error(tmp_path):
         "epsilon_zero",
         "epsilon_negative",
         "epsilon_nan",
+        "epsilon_inf",
     ],
 )
 def test_bad_run_options_are_rejected_before_any_realization(
@@ -288,6 +290,39 @@ def test_bad_run_options_are_rejected_before_any_realization(
     assert code == EXIT_CONFIG
     assert flags[-2] in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_one_optimizer_config_per_run_and_sweep_point(tmp_path, monkeypatch):
+    seen = []
+    real = saris.cli.saris_optimize
+
+    def recording(f, opt_config):
+        seen.append(opt_config)
+        return real(f, opt_config)
+
+    monkeypatch.setattr(saris.cli, "saris_optimize", recording)
+    cfg = write_config(tmp_path, R0=0.3)
+    flags = ["--config", str(cfg), "--max-iter", "2", "--epsilon", "1e-7"]
+    code = run_cli("run", *flags, "--trials", "3", "--out", str(tmp_path / "run"))
+    assert code == EXIT_OK
+    assert len(seen) == 3
+    assert all(c is seen[0] for c in seen)
+    scenario = tiny_config(R0=0.3)
+    assert seen[0] == OptimizerConfig(
+        power=scenario.P,
+        sigma_n2=scenario.sigma_n2,
+        epsilon=1e-7,
+        max_iter=2,
+        q_interval=scenario.Q_interval,
+        r0=0.3,
+    )
+
+    seen.clear()
+    sweep = ["--sweep", "R0", "--values", "0.1,0.4", "--trials", "2"]
+    code = run_cli("sweep", *flags, *sweep, "--out", str(tmp_path / "sweep"))
+    assert code == EXIT_OK
+    assert [c.r0 for c in seen] == [0.1, 0.1, 0.4, 0.4]
+    assert seen[0] is seen[1] and seen[2] is seen[3]
 
 
 def test_exit_code_mapping():

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import saris.optimize
 from saris.channel import LoadEvaluation, RisLoads, end_to_end_channel, fold_esos
 from saris.optimize import (
+    _MAX_HALVINGS,
     DegenerateChannelError,
     DeltaStep,
     OptimizerConfig,
@@ -491,6 +493,7 @@ def test_optimizer_config_validation():
         ("max_iter", 2.5),
         ("max_iter", True),
         ("max_iter", np.float64(3.0)),
+        ("epsilon", np.inf),
         ("power", np.inf),
         ("power", np.nan),
         ("sigma_n2", np.inf),
@@ -562,6 +565,23 @@ def test_loop_huge_epsilon_stops_after_one_iteration():
     assert len(state.smse_trace) == 2
 
 
+def assert_trace_lengths(state):
+    """One guard and halving entry per iteration; one trace point per
+    iteration plus the starting point (precoder diagnostics: one per
+    iteration plus the final re-match)."""
+    k = state.iteration
+    assert len(state.guard_trace) == k
+    assert len(state.halving_trace) == k
+    for trace in (
+        state.smse_trace,
+        state.rate_trace,
+        state.feasible_trace,
+        state.w_residual_trace,
+        state.w_power_error_trace,
+    ):
+        assert len(trace) == k + 1
+
+
 def test_loop_honors_max_iter():
     config = tiny_config()
     _, f = folded_scenario(config)
@@ -569,7 +589,91 @@ def test_loop_honors_max_iter():
     state = saris_optimize(f, opt)
     assert state.iteration == 3
     assert not state.converged
-    assert len(state.smse_trace) == 4
+    assert_trace_lengths(state)
+
+
+@pytest.mark.parametrize("epsilon", [1e-9, 1e-6])
+def test_tolerance_compares_consecutive_trace_entries(epsilon):
+    # The stop test is on the SMSE change over a whole iteration, precoder
+    # re-match included, so no earlier pair of entries is within epsilon.
+    opt = OptimizerConfig(epsilon=epsilon)
+    folds = [folded_scenario(tiny_config(), r) for r in range(5)]
+    folds += [folded_scenario(ScenarioConfig(), r) for r in range(6)]
+    on_tolerance = 0
+    for z, f in folds:
+        for state in (saris_optimize(f, opt), mismatched_optimize(f, z, opt)):
+            assert_trace_lengths(state)
+            diffs = np.abs(np.diff(state.smse_trace))
+            assert (diffs[:-1] > epsilon).all()
+            # Halving stops short of its cap only by accepting a candidate.
+            accepted = state.guard_trace[-1] > 0 and state.halving_trace[-1] < _MAX_HALVINGS
+            if state.converged and accepted:
+                on_tolerance += 1
+                assert diffs[-1] <= epsilon
+            elif not state.converged:
+                assert diffs[-1] > epsilon
+    assert on_tolerance > 0
+
+
+def initial_reactances_of(f, opt):
+    return np.clip(opt.initial_reactances(f.n_ris), *opt.q_interval)
+
+
+def test_zero_step_stops_at_once(monkeypatch):
+    _, f = folded_scenario(tiny_config())
+    monkeypatch.setattr(
+        saris.optimize, "solve_delta", lambda ds, W, sigma_n2, g_norm: np.zeros(f.n_ris, complex)
+    )
+    opt = OptimizerConfig()
+    state = saris_optimize(f, opt)
+    assert state.iteration == 1
+    assert state.converged
+    assert state.guard_trace == [0.0]
+    assert state.halving_trace == [0]
+    assert len(state.smse_trace) == 2
+    assert_trace_lengths(state)
+    assert np.array_equal(state.loads.x, initial_reactances_of(f, opt))
+
+
+def test_halving_cap_stops_with_the_loads_unchanged(monkeypatch):
+    evaluations = []
+
+    class Blinded(LoadEvaluation):
+        """Every evaluation after the first sees a zero channel, so no
+        candidate lowers the SMSE."""
+
+        def __init__(self, f, loads):
+            super().__init__(f, loads)
+            evaluations.append(loads)
+            if len(evaluations) > 1:
+                self.h = np.zeros_like(self.h)
+
+    monkeypatch.setattr(saris.optimize, "LoadEvaluation", Blinded)
+    _, f = folded_scenario(tiny_config())
+    opt = OptimizerConfig()
+    state = saris_optimize(f, opt)
+    assert state.iteration == 1
+    assert state.converged
+    assert state.halving_trace == [60]
+    assert len(evaluations) == 62
+    assert np.array_equal(state.loads.x, initial_reactances_of(f, opt))
+    assert state.smse_trace[1] == state.smse_trace[0]
+    assert_trace_lengths(state)
+
+
+def test_empty_surface_takes_the_zero_step_exit():
+    z = random_impedance_set(np.random.default_rng(13), n_ris=0)
+    f = fold_esos(z)
+    opt = OptimizerConfig()
+    w = optimal_precoder(f.H_d, opt.power, opt.sigma_n2)
+    for state in (saris_optimize(f, opt), mismatched_optimize(f, z, opt)):
+        assert state.iteration == 1
+        assert state.converged
+        assert state.guard_trace == [0.0]
+        assert state.halving_trace == [0]
+        assert_trace_lengths(state)
+        assert all(state.feasible_trace)
+        assert state.final_sum_rate == sum_rate(f.H_d, w, opt.sigma_n2)
 
 
 def test_nan_initial_reactance_is_rejected_as_bad_input():
