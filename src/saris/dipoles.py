@@ -9,9 +9,12 @@ closed form in sine and cosine integrals, which serves every pair: self terms,
 side-by-side, staggered, unequal and collinear ones, tips touching included.
 
 The form's coefficients depend only on a pair's axial geometry (the height
-offset and the two lengths), so they are computed once per geometry and each
-pair evaluates just the integrals at its geometry's distinct axial offsets:
-six for dipoles side by side with equal lengths, at most eighteen.
+offset and the two lengths). Assembly tabulates them once for the geometries
+present, and each pair evaluates just the integrals at its geometry's
+distinct axial offsets: six for dipoles side by side with equal lengths, at
+most eighteen. Pairs are evaluated in fixed-size slices; a slice whose pairs
+share one geometry, as every slice of a generated deployment does,
+broadcasts that geometry's table column instead of gathering one per pair.
 """
 
 from __future__ import annotations
@@ -24,9 +27,17 @@ import numpy as np
 # Free-space wave impedance in ohms.
 ETA0 = 376.730313668
 
-# Pairs per kernel call in assembly. It bounds the working set to a few MB,
-# and the call's geometry table to the distinct geometries among these pairs.
+# Pairs per kernel call in assembly; it bounds the per-slice working set to a
+# few MB. Larger slices time faster when an assembly is repeated in one
+# process, but a process's first assembly then takes several times the page
+# faults (16384: ~55k against ~9k on clutter) and runs slower.
 _PAIRS_PER_CALL = 4096
+
+# Geometries per block of the geometry table. The temporaries of a block this
+# size stay small enough that a process's first assembly does not fault them
+# in afresh for every block: with 20k geometries, 4096 took ~13k page faults
+# against ~2k, and the first assembly ran ~15 % slower.
+_GEOMETRIES_PER_BLOCK = 1024
 
 
 class GeometryError(ValueError):
@@ -80,23 +91,42 @@ class Dipole:
         )
 
 
-def _coupling(rho, cls, dz, h_src, h_tst, wavelength) -> np.ndarray:
-    """Induced-EMF impedance of (source, test) dipole pairs in closed form.
+def _geometry_table(dz, h_src, h_tst, k) -> np.ndarray:
+    """Closed-form coefficients of the induced-EMF impedance per axial geometry.
 
-    rho and cls have one entry per pair: rho is the horizontal separation, or
-    the wire radius for a self term, and cls the pair's row in the geometry
-    table dz, h_src, h_tst (test centre height above the source centre, and
-    the two half-lengths). The source's field is three spherical waves
-    e^{-jkR}/R, from its tips and centre; each integrates against the
-    e^{+-jkt} parts of the test current to exponential integrals
-    E1(jk(R -+ t)) of the axial offset t (Carter 1932; Baker and LaGrone
-    1962). Their coefficients depend on the row alone, so a pair evaluates
-    only the integrals at its row's distinct |t| and sums them in fixed order.
+    Row g of dz, h_src, h_tst is one geometry: the test centre height above
+    the source centre, and the two half-lengths. Returns a (7n, G) table whose
+    column g is geometry g: rows 0..n-1 hold its distinct axial offsets |t|
+    ascending, padded with its smallest, and six more blocks of n rows its
+    coefficients at those offsets (see `_geometry_block`), zero where padded.
     """
-    # Deferred: loading scipy.special adds ~75 ms to `import saris.cli`.
-    from scipy.special import sici
+    # Built in blocks: for thousands of geometries at once, the temporaries
+    # cost more than the arithmetic.
+    starts = range(0, dz.size, _GEOMETRIES_PER_BLOCK)
+    blocks = [
+        _geometry_block(*(a[lo:lo + _GEOMETRIES_PER_BLOCK] for a in (dz, h_src, h_tst)), k)
+        for lo in starts
+    ]
+    n = max(b.shape[1] for b in blocks)
+    table = np.zeros((7, n, dz.size))
+    for lo, b in zip(starts, blocks):
+        p = slice(lo, lo + b.shape[2])
+        table[:, : b.shape[1], p] = b
+        table[0, b.shape[1]:, p] = b[0, 0]
+    return table.reshape(7 * n, dz.size)
 
-    k = 2.0 * np.pi / wavelength
+
+def _geometry_block(dz, h_src, h_tst, k) -> np.ndarray:
+    """`_geometry_table` for a few geometries, as (7, n, G) with n their most
+    distinct |t|.
+
+    The source's field is three spherical waves e^{-jkR}/R, from its tips and
+    centre; each integrates against the e^{+-jkt} parts of the test current
+    to exponential integrals E1(jk(R -+ t)) of the axial offset t (Carter
+    1932; Baker and LaGrone 1962). Their coefficients depend on the geometry
+    alone, so a pair only evaluates the integrals at its geometry's distinct
+    |t|.
+    """
     sin_src, sin_tst = np.sin(k * h_src), np.sin(k * h_tst)
     if np.any(np.abs(sin_src) < 1e-6) or np.any(np.abs(sin_tst) < 1e-6):
         raise ValueError(
@@ -159,30 +189,44 @@ def _coupling(rho, cls, dz, h_src, h_tst, wavelength) -> np.ndarray:
         [at_points(log_minus), at_points(log_plus)],
     ]
     bins = (columns * dz.size + np.arange(dz.size)[:, None, None]).ravel()
-    re_cin, im_cin, im_log = (
-        np.bincount(bins, np.ravel(v), 2 * n * dz.size).reshape(2 * n, dz.size) for v in values
-    )
+    sums = [np.bincount(bins, np.ravel(v), 2 * n * dz.size) for v in values]
+    return np.concatenate([table.T.ravel(), *sums]).reshape(7, n, dz.size)
 
+
+def _coupling(rho, cols, k) -> np.ndarray:
+    """Impedances of (source, test) pairs from their geometries' table columns.
+
+    rho has one entry per pair: the horizontal separation, or the wire radius
+    for a self term. cols holds the `_geometry_table` columns of the pairs,
+    one per pair or a single one that every pair shares.
+    """
+    # Deferred: loading scipy.special adds ~75 ms to `import saris.cli`.
+    from scipy.special import sici
+
+    n = len(cols) // 7
+    abs_t, a_re, a_im, b_im = np.split(cols, [n, 3 * n, 5 * n])
     # E1(jx) = -gamma - ln x + Cin(x) + j(Si(x) - pi/2); constants cancel
     # between end points. R - |t| is taken as rho^2 / (R + |t|), free of
-    # cancellation. At rho = 0 it is 0, where Cin + jSi is 0 and ln x is
-    # never used (0 stands in for it).
-    abs_tp = np.take(table.T, cls, axis=1)
-    far = np.hypot(rho, abs_tp) + abs_tp
-    near = np.divide(rho**2, far, out=np.zeros_like(far), where=far > 0)
-    x = k * np.concatenate([near, far])
+    # cancellation. At rho = 0 (or rho^2 underflowing) it is 0, where
+    # Cin + jSi is 0 and ln x is never used (0 stands in for it); with
+    # touching tips R + |t| is 0 too. Only then does a slice need the mask.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        far = np.hypot(rho, abs_t) + abs_t
+        x = k * np.concatenate([rho**2 / far, far])
     pos = x > 0
-    safe = np.where(pos, x, 1.0)
-    si, ci = sici(safe)
-    log_x = np.where(pos, np.log(safe), 0.0)
-    cin = np.where(pos, np.euler_gamma + log_x - ci, 0.0)
-    si = np.where(pos, si, 0.0)
+    masked = not pos.all()
+    if masked:
+        x = np.where(pos, x, 1.0)
+    si, ci = sici(x)
+    log_x = np.log(x)
+    cin = np.euler_gamma + log_x - ci
+    if masked:
+        si, log_x, cin = (np.where(pos, v, 0.0) for v in (si, log_x, cin))
     # Each row's coefficients sum to zero, so values count relative to
     # column 0: for distant pairs all x are close and these differences are
     # exact. Real arithmetic and a fixed-order column sum keep a pair's
     # result independent of the batch it shares, padded columns included.
     d_cin, d_si, d_log = cin - cin[0], si - si[0], log_x - log_x[0]
-    a_re, a_im, b_im = (np.take(c, cls, axis=1) for c in (re_cin, im_cin, im_log))
     re = a_re * d_cin - a_im * d_si
     im = a_im * d_cin + a_re * d_si + b_im * d_log
     z_re, z_im = re[0], im[0]
@@ -192,33 +236,38 @@ def _coupling(rho, cls, dz, h_src, h_tst, wavelength) -> np.ndarray:
 
 
 def _pair_separations(dipoles: list[Dipole], iu, ju) -> np.ndarray:
-    """Horizontal separations of the pairs (dipoles[iu], dipoles[ju]); raises
-    GeometryError if two of these distinct dipoles overlap or their wire bodies
-    intersect (collinear with overlapping axial extents)."""
+    """Horizontal separations of the pairs (dipoles[iu], dipoles[ju]), and the
+    wire radius for a self pair (iu == ju); raises GeometryError if two
+    distinct dipoles overlap or their wire bodies intersect (collinear with
+    overlapping axial extents)."""
     pos = np.array([d.position for d in dipoles])
     radii = np.array([d.wire_radius for d in dipoles])
     half = np.array([d.half_length for d in dipoles])
-    dx = pos[iu, 0] - pos[ju, 0]
-    dy = pos[iu, 1] - pos[ju, 1]
-    dz = pos[iu, 2] - pos[ju, 2]
-    rho = np.hypot(dx, dy)
-    rsum = radii[iu] + radii[ju]
-    close = np.sqrt(rho**2 + dz**2) < rsum
+    rho = np.hypot(pos[iu, 0] - pos[ju, 0], pos[iu, 1] - pos[ju, 1])
+    # Either test fails only where rho < r_i + r_j <= 2 max r, so only pairs
+    # within 2 max r are checked; p indexes them in pair order.
+    near = np.flatnonzero(rho < 2.0 * radii.max())
+    same = iu[near] == ju[near]
+    rho[near[same]] = radii[iu[near[same]]]
+    p = near[~same]
+    ip, jp = iu[p], ju[p]
+    rsum = radii[ip] + radii[jp]
+    close = np.sqrt(rho[p] ** 2 + (pos[ip, 2] - pos[jp, 2]) ** 2) < rsum
     if np.any(close):
-        p = int(np.flatnonzero(close)[0])
+        q = int(np.flatnonzero(close)[0])
         raise GeometryError(
-            f"distinct dipoles overlap: elements {int(iu[p])} and {int(ju[p])} "
+            f"distinct dipoles overlap: elements {int(ip[q])} and {int(jp[q])} "
             "have center distance below the sum of wire radii"
         )
     zhi = pos[:, 2] + half
     zlo = pos[:, 2] - half
-    body = (rho < rsum) & (
-        np.minimum(zhi[iu], zhi[ju]) - np.maximum(zlo[iu], zlo[ju]) > 0
+    body = (rho[p] < rsum) & (
+        np.minimum(zhi[ip], zhi[jp]) - np.maximum(zlo[ip], zlo[jp]) > 0
     )
     if np.any(body):
-        p = int(np.flatnonzero(body)[0])
+        q = int(np.flatnonzero(body)[0])
         raise GeometryError(
-            f"wire bodies intersect: elements {int(iu[p])} and {int(ju[p])} are "
+            f"wire bodies intersect: elements {int(ip[q])} and {int(jp[q])} are "
             "collinear with overlapping axial extents"
         )
     return rho
@@ -230,9 +279,10 @@ def _pair_impedances(dipoles: list[Dipole], iu, ju, wavelength: float) -> np.nda
     radius off the axis.
 
     Of each pair, the dipole with the larger (length, z, radius) key is the
-    source, so both orders of a pair give the same result bit for bit. Pairs
-    go through the closed-form kernel in fixed-size slices, and a pair's
-    result does not depend on the slice it shares.
+    source, so both orders of a pair give the same result bit for bit. The
+    geometry table is built once for the call; pairs go through the kernel in
+    fixed-size slices, and a pair's result does not depend on the slice it
+    shares.
     """
     if not wavelength > 0:
         raise ValueError(f"wavelength must be positive, got {wavelength}")
@@ -240,26 +290,29 @@ def _pair_impedances(dipoles: list[Dipole], iu, ju, wavelength: float) -> np.nda
     length = np.array([d.length for d in dipoles])
     zc = np.array([d.position[2] for d in dipoles])
     radius = np.array([d.wire_radius for d in dipoles])
-    off = iu != ju
-    rho = radius[iu]
-    rho[off] = _pair_separations(dipoles, iu[off], ju[off])
+    rho = _pair_separations(dipoles, iu, ju)
     rank = np.empty(len(dipoles), dtype=int)
     rank[np.lexsort((radius, zc, length))] = np.arange(len(dipoles))
-    src = np.where(rank[iu] >= rank[ju], iu, ju)
-    tst = np.where(rank[iu] >= rank[ju], ju, iu)
+    first = rank[iu] >= rank[ju]
+    src = np.where(first, iu, ju)
+    tst = np.where(first, ju, iu)
     # A pair's axial geometry is fixed by the (z, length) kinds of its source
-    # and test; each slice's geometry table holds its distinct kind pairs.
+    # and test; its class numbers the geometries present in ascending code.
     kinds, kind = np.unique(np.stack([zc, length], axis=1), axis=0, return_inverse=True)
     code = kind[src] * len(kinds) + kind[tst]
+    present = np.bincount(code, minlength=len(kinds) ** 2) > 0
+    cls = (np.cumsum(present) - 1)[code]
+    s, t = np.divmod(np.flatnonzero(present), len(kinds))
+    k = 2.0 * np.pi / wavelength
+    table = _geometry_table(
+        kinds[t, 0] - kinds[s, 0], 0.5 * kinds[s, 1], 0.5 * kinds[t, 1], k
+    )
     z = np.empty(iu.size, dtype=complex)
     for lo in range(0, iu.size, _PAIRS_PER_CALL):
         p = slice(lo, lo + _PAIRS_PER_CALL)
-        geometries, cls = np.unique(code[p], return_inverse=True)
-        s, t = np.divmod(geometries, len(kinds))
-        z[p] = _coupling(
-            rho[p], cls, kinds[t, 0] - kinds[s, 0], 0.5 * kinds[s, 1], 0.5 * kinds[t, 1],
-            wavelength,
-        )
+        c = cls[p]
+        # A slice of one geometry broadcasts its column instead of gathering.
+        z[p] = _coupling(rho[p], table[:, c[:1]] if c.min() == c.max() else table[:, c], k)
     return z
 
 
@@ -363,15 +416,34 @@ class ImpedanceSet:
             if got != shape:
                 raise ValueError(f"{name} has shape {got}, expected {shape}")
         for name in ("Z_G", "Z_L", "Z_US"):
-            mat = getattr(self, name)
-            if mat.size and np.any(mat != np.diag(np.diag(mat))):
+            if not _is_diagonal(getattr(self, name)):
                 raise ValueError(f"{name} must be strictly diagonal")
-        full = self.full_matrix()
-        denom = np.linalg.norm(full)
-        if denom > 0:
-            asym = np.linalg.norm(full - full.T) / denom
+        # full_matrix mirrors its off-diagonal blocks, so those count twice in
+        # its norm and only the diagonal blocks can be asymmetric.
+        diagonal = (self.Z_TT, self.Z_RR, self.Z_EE)
+        norm2 = sum(_norm2(b) for b in diagonal)
+        norm2 += 2.0 * sum(_norm2(b) for b in (self.Z_RT, self.Z_RE, self.Z_ET))
+        if norm2 > 0:
+            # An exactly symmetric block, as assembly builds, forms no difference.
+            asym2 = sum(_norm2(b - b.T) for b in diagonal if not np.array_equal(b, b.T))
+            asym = np.sqrt(asym2 / norm2)
             if asym >= tol:
                 raise ValueError(f"impedance matrix asymmetry {asym:.3e} exceeds {tol:.1e}")
+
+
+def _norm2(mat) -> float:
+    """Squared Frobenius norm."""
+    return np.vdot(mat, mat).real
+
+
+def _is_diagonal(mat) -> bool:
+    """Whether a square mat is zero off its diagonal, read through views of
+    its entries. A NaN on the diagonal fails too, as it differs from itself."""
+    n = len(mat)
+    if n == 0:
+        return True
+    off = np.ravel(mat)[1:].reshape(n - 1, n + 1)[:, :n]
+    return not (np.any(off) or np.any(np.isnan(np.diagonal(mat))))
 
 
 def _termination_matrix(value, count, name) -> np.ndarray:
@@ -384,7 +456,7 @@ def _termination_matrix(value, count, name) -> np.ndarray:
         return np.diag(value)
     if value.shape != (count, count):
         raise ValueError(f"{name} has shape {value.shape}, expected ({count}, {count})")
-    if np.any(value != np.diag(np.diag(value))):
+    if not _is_diagonal(value):
         raise ValueError(f"{name} must be diagonal")
     return value.astype(complex)
 

@@ -162,7 +162,10 @@ def generate(config: ScenarioConfig, realization_index: int) -> list[Dipole]:
 
     clearance = config.r + lam / 10.0
     min_sep = MIN_SEPARATION_RADII * radius
-    occupied = np.array(terminals + ris)
+    # x and y rows of every placed dipole, filled as members are placed.
+    placed = len(terminals) + len(ris)
+    occupied = np.empty((2, placed + config.n_eso))
+    occupied[:, :placed] = np.transpose(terminals + ris)
     eso: list[tuple[float, float]] = []
     for c in range(config.N_c):
         for attempt in range(_CLUSTER_RETRIES + 1):
@@ -184,7 +187,8 @@ def generate(config: ScenarioConfig, realization_index: int) -> list[Dipole]:
                 ang = rng.uniform(0.0, 2 * np.pi)
                 rad = config.r * np.sqrt(rng.uniform())
                 p = (center[0] + rad * np.cos(ang), center[1] + rad * np.sin(ang))
-                if np.min(np.hypot(occupied[:, 0] - p[0], occupied[:, 1] - p[1])) >= min_sep:
+                x, y = occupied[:, :placed]
+                if np.min(np.hypot(x - p[0], y - p[1])) >= min_sep:
                     break
             else:
                 raise GeometryError(
@@ -192,7 +196,8 @@ def generate(config: ScenarioConfig, realization_index: int) -> list[Dipole]:
                     f"{min_sep:.2e} m separation after {_MEMBER_RETRIES} redraws"
                 )
             eso.append(p)
-            occupied = np.vstack([occupied, p])
+            occupied[:, placed] = p
+            placed += 1
 
     dipoles = [
         Dipole((x, y, 0.0), length, radius, Role.TRANSMITTER)

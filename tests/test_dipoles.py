@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import saris.dipoles
 from saris.dipoles import (
     _PAIRS_PER_CALL,
     ETA0,
@@ -15,6 +16,7 @@ from saris.dipoles import (
     assemble_impedances,
     mutual_impedance,
 )
+from saris.scenario import ScenarioConfig, generate
 
 from _helpers import pair_for_oracle, quad_mutual_impedance
 
@@ -126,6 +128,8 @@ def test_kernel_matches_live_oracle(a, b):
     rho=st.floats(0.0, 3.0),
     dz=st.floats(-0.8, 0.8),
 )
+# rho^2 underflows to 0 here although rho > 0.
+@example(la=0.375, lb=0.375, rho=6.976699731693252e-198, dz=0.5)
 def test_random_parallel_pairs_match_oracle_and_are_reciprocal(la, lb, rho, dz):
     a = dip(length=la * LAM)
     b = dip(x=rho * LAM, z=dz * LAM, length=lb * LAM)
@@ -256,11 +260,117 @@ def test_mixed_geometry_assembly_is_bitwise_pairwise():
     dipoles = mixed_deployment()
     full = assemble_impedances(dipoles, LAM).full_matrix()
     assert full.shape[0] * (full.shape[0] + 1) // 2 > _PAIRS_PER_CALL
-    order = [d for role in (Role.TRANSMITTER, Role.RECEIVER, Role.ESO, Role.RIS_CELL)
-             for d in dipoles if d.role == role]
+    order = in_assembly_order(dipoles)
     pairwise = np.array([[mutual_impedance(a, b, LAM) for b in order] for a in order])
     assert np.array_equal(full, pairwise)
     assert np.array_equal(full, full.T)
+
+
+def in_assembly_order(dipoles):
+    return [d for role in (Role.TRANSMITTER, Role.RECEIVER, Role.ESO, Role.RIS_CELL)
+            for d in dipoles if d.role == role]
+
+
+@pytest.mark.parametrize("deployment", ["mixed", "desk"])
+def test_assembly_does_not_depend_on_slice_size(monkeypatch, deployment):
+    # One pair per slice broadcasts every geometry's column; larger slices
+    # gather theirs, or broadcast where a slice holds one geometry. Small
+    # geometry blocks pad their columns to the table's widest.
+    dipoles = mixed_deployment() if deployment == "mixed" else generate(ScenarioConfig(), 0)
+    matrices = []
+    for size in (1, 7, 4096, 10**6):
+        monkeypatch.setattr(saris.dipoles, "_PAIRS_PER_CALL", size)
+        monkeypatch.setattr(saris.dipoles, "_GEOMETRIES_PER_BLOCK", size)
+        matrices.append(assemble_impedances(dipoles, LAM).full_matrix())
+    for full in matrices[1:]:
+        assert np.array_equal(full, matrices[0])
+
+
+def stacked_deployment():
+    """A transmitter 0.6 wavelength above scatterer 7, with every other dipole
+    at z = 0: pairs (0, j > 0) share one geometry, and (0, 7) is collinear."""
+    dipoles = [Dipole((0.0, 0.0, 0.6 * LAM), HALF_WAVE, RADIUS, Role.TRANSMITTER),
+               Dipole((0.9, 1.5, 0.0), HALF_WAVE, RADIUS, Role.RECEIVER)]
+    dipoles += [Dipole((0.3 * LAM * (i - 5), 0.2, 0.0) if i != 5 else (0.0, 0.0, 0.0),
+                       HALF_WAVE, RADIUS, Role.ESO) for i in range(12)]
+    dipoles += [Dipole((0.3 * LAM * i, 2.4, 0.0), HALF_WAVE, RADIUS, Role.RIS_CELL)
+                for i in range(2)]
+    return dipoles
+
+
+@pytest.mark.parametrize("size, shared", [(7, 1), (4096, 136)], ids=["broadcast", "gathered"])
+def test_collinear_pair_in_a_slice_is_bitwise_pairwise(monkeypatch, size, shared):
+    # With 7 pairs per slice, pairs 7-13 are (0, 7) to (0, 13): one geometry,
+    # so the slice broadcasts; a 4096-pair slice holds all 136 pairs and
+    # gathers. Either way the slice with rho = 0 takes the masked path.
+    columns = []
+    coupling = saris.dipoles._coupling
+
+    def spy(rho, cols, k):
+        if np.any(rho == 0):
+            columns.append(cols.shape[1])
+        return coupling(rho, cols, k)
+
+    monkeypatch.setattr(saris.dipoles, "_PAIRS_PER_CALL", size)
+    monkeypatch.setattr(saris.dipoles, "_coupling", spy)
+    dipoles = stacked_deployment()
+    full = assemble_impedances(dipoles, LAM).full_matrix()
+    assert columns == [shared]
+    order = in_assembly_order(dipoles)
+    assert order[0].position[:2] == order[7].position[:2]
+    pairwise = np.array([[mutual_impedance(a, b, LAM) for b in order] for a in order])
+    assert np.all(np.isfinite(full))
+    assert np.array_equal(full, pairwise)
+
+
+@pytest.mark.parametrize("deployment", ["clutter", "mixed"])
+def test_assembly_builds_one_geometry_table(monkeypatch, deployment):
+    calls = []
+    build = saris.dipoles._geometry_table
+
+    def counting(*args):
+        calls.append(args[0].size)
+        return build(*args)
+
+    monkeypatch.setattr(saris.dipoles, "_geometry_table", counting)
+    if deployment == "clutter":
+        dipoles = generate(ScenarioConfig(N_c=8, N_O=100), 0)
+    else:
+        dipoles = mixed_deployment()
+    pairs = len(dipoles) * (len(dipoles) + 1) // 2
+    assert pairs > _PAIRS_PER_CALL
+    assemble_impedances(dipoles, LAM)
+    assert len(calls) == 1
+
+
+def separation_clash(overlap):
+    """Elements 0 and 3 (in assembly order) are collinear with overlapping
+    extents; with overlap, elements 5 and 6 also sit closer than their radii."""
+    return [
+        Dipole((0.0, 0.0, 0.0), HALF_WAVE, RADIUS, Role.TRANSMITTER),
+        Dipole((0.9, 1.5, 0.0), HALF_WAVE, RADIUS, Role.RECEIVER),
+        Dipole((0.3, 0.8, 0.0), HALF_WAVE, RADIUS, Role.ESO),
+        Dipole((0.0, 0.0, 0.3 * LAM), HALF_WAVE, RADIUS, Role.ESO),
+        Dipole((0.4, 0.8, 0.0), HALF_WAVE, RADIUS, Role.ESO),
+        Dipole((0.0, 2.4, 0.0), HALF_WAVE, RADIUS, Role.RIS_CELL),
+        Dipole((0.5 * RADIUS if overlap else 0.03, 2.4, 0.0), HALF_WAVE, RADIUS, Role.RIS_CELL),
+    ]
+
+
+@pytest.mark.parametrize(
+    "overlap, message",
+    [
+        (True, "distinct dipoles overlap: elements 5 and 6 "),
+        (False, "wire bodies intersect: elements 0 and 3 "),
+    ],
+    ids=["overlap-first", "body"],
+)
+def test_separation_error_names_the_first_offending_pair(overlap, message):
+    # Overlaps are checked over all pairs before wire bodies, so the later
+    # overlapping pair (5, 6) is reported ahead of the body pair (0, 3).
+    with pytest.raises(GeometryError) as info:
+        assemble_impedances(separation_clash(overlap), LAM)
+    assert str(info.value).startswith(message)
 
 
 def test_assembly_ignores_input_interleaving():
@@ -322,3 +432,13 @@ def test_validate_flags_asymmetry():
     z.Z_TT[0, 1] += 1.0
     with pytest.raises(ValueError):
         z.validate()
+
+
+@pytest.mark.parametrize("block", ["Z_TT", "Z_EE"])
+def test_validate_reports_the_dense_relative_asymmetry(block):
+    z = assemble_impedances(small_deployment(), LAM)
+    getattr(z, block)[1, 0] += 0.5
+    full = z.full_matrix()
+    dense = np.linalg.norm(full - full.T) / np.linalg.norm(full)
+    with pytest.raises(ValueError, match=f"asymmetry {dense:.3e} exceeds"):
+        z.validate(tol=1e-3)
