@@ -37,9 +37,12 @@ from saris.optimize import (
 from saris.scenario import (
     ConfigError,
     ScenarioConfig,
-    parse_config,
+    format_value,
     generate,
+    parse_config,
+    parse_value,
     resize_users,
+    scale_length,
     serialize_config,
     substream,
 )
@@ -148,6 +151,7 @@ def _execute_trials(config: ScenarioConfig, opt_config, algos, baseline_trials, 
 
 
 def _summarize(records, algos):
+    """One summary row per algorithm, for summary.csv and sweep.csv."""
     rows = []
     for algo in algos:
         sub = [r for r in records if r["algo"] == algo]
@@ -168,11 +172,11 @@ def _summarize(records, algos):
 
 
 def _write_csv(path: Path, header, rows):
+    """Write the `header` columns of each row (a mapping), every cell through _fmt."""
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows([_fmt(row[name]) for name in header] for row in rows)
 
 
 def _fmt(value) -> str:
@@ -261,48 +265,23 @@ def cmd_run(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     records = _execute_trials(config, opt_config, algos, args.baseline_trials, args.jobs)
 
-    trace_rows = []
-    for record in records:
-        for i, (err, rate) in enumerate(zip(record["smse_trace"], record["rate_trace"])):
-            trace_rows.append(
-                [record["algo"], record["seed"], i, _fmt(err), _fmt(rate)]
-            )
+    trace_rows = [
+        {"algo": record["algo"], "seed": record["seed"], "iter": i, "smse": err, "sum_rate": rate}
+        for record in records
+        for i, (err, rate) in enumerate(zip(record["smse_trace"], record["rate_trace"]))
+    ]
     _write_csv(out / "trace.csv", ["algo", "seed", "iter", "smse", "sum_rate"], trace_rows)
 
     digest = config_hash(config)
-    run_rows = [
-        [
-            digest,
-            record["seed"],
-            record["algo"],
-            _fmt(record["final_sum_rate"]),
-            record["iterations"],
-            _fmt(record["wall_time_s"]),
-            _fmt(record["converged"]),
-        ]
-        for record in records
-    ]
     _write_csv(
         out / "runs.csv",
         ["config_hash", "seed", "algo", "final_sum_rate", "iterations", "wall_time_s", "converged"],
-        run_rows,
+        [{"config_hash": digest, **record} for record in records],
     )
-
-    summary_rows = [
-        [
-            row["algo"],
-            row["n_trials"],
-            _fmt(row["mean_rate"]),
-            _fmt(row["std_rate"]),
-            _fmt(row["mean_iters"]),
-            _fmt(row["mean_time_s"]),
-        ]
-        for row in _summarize(records, algos)
-    ]
     _write_csv(
         out / "summary.csv",
         ["algo", "n_trials", "mean_rate", "std_rate", "mean_iters", "mean_time_s"],
-        summary_rows,
+        _summarize(records, algos),
     )
     _write_metadata(out, "run", config, args, algos)
     print(f"{len(records)} runs -> {out}")
@@ -310,29 +289,17 @@ def cmd_run(args) -> int:
 
 
 def _sweep_value(config: ScenarioConfig, var: str, token: str) -> tuple[ScenarioConfig, str]:
+    """`config` with `var` set from `token`, read as in a config file, and
+    the value's label."""
     token = token.strip()
     try:
-        if var == "N":
-            value = int(token)
-            return replace(config, N=value), str(value)
-        if var == "N_c":
-            value = int(token)
-            return replace(config, N_c=value), str(value)
-        if var == "L":
-            value = int(token)
-            return resize_users(config, value), str(value)
-        if var == "R0":
-            value = float(token)
-            return replace(config, R0=value), _fmt(value)
-        scaled = token.endswith(("λ", "lambda"))
+        value, scaled = parse_value(var, token)
         if scaled:
-            number = float(token.removesuffix("lambda").removesuffix("λ"))
-            value = number * config.wavelength
-        else:
-            value = float(token)
-        return replace(config, d=value), _fmt(value)
+            value = scale_length(value, config.wavelength)
+        point = resize_users(config, value) if var == "L" else replace(config, **{var: value})
     except ValueError as exc:
         raise ConfigError(f"sweep value {token!r} for {var}: {exc}") from None
+    return point, format_value(value)
 
 
 def cmd_sweep(args) -> int:
@@ -351,18 +318,9 @@ def cmd_sweep(args) -> int:
     sweep_rows = []
     for (point_config, label), opt_config in zip(points, opt_configs):
         records = _execute_trials(point_config, opt_config, algos, args.baseline_trials, args.jobs)
-        for row in _summarize(records, algos):
-            sweep_rows.append(
-                [
-                    var,
-                    label,
-                    row["algo"],
-                    _fmt(row["mean_rate"]),
-                    _fmt(row["std_rate"]),
-                    _fmt(row["mean_iters"]),
-                    _fmt(row["mean_time_s"]),
-                ]
-            )
+        sweep_rows += [
+            {"var": var, "value": label, **row} for row in _summarize(records, algos)
+        ]
     _write_csv(
         out / "sweep.csv",
         ["var", "value", "algo", "mean_rate", "std_rate", "mean_iters", "mean_time_s"],

@@ -140,16 +140,6 @@ def smse_and_rate(h: np.ndarray, W: np.ndarray, sigma_n2: float) -> tuple[float,
     return float(err), float(np.log2(1.0 + sinr).sum())
 
 
-def smse(H_d: np.ndarray, H_ris: np.ndarray, W: np.ndarray, sigma_n2: float) -> float:
-    """Sum MSE of all users for total channel H_d + H_ris and precoder W."""
-    return smse_and_rate(H_d + H_ris, W, sigma_n2)[0]
-
-
-def sum_rate(H: np.ndarray, W: np.ndarray, sigma_n2: float) -> float:
-    """Sum of per-user spectral efficiencies in bits/s/Hz."""
-    return smse_and_rate(H, W, sigma_n2)[1]
-
-
 def _precoder_solve(H: np.ndarray, power: float, sigma_n2: float):
     """(optimal precoder, stationarity residual of its normal equations
     relative to the channel norm) from one LAPACK gesv."""

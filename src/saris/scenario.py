@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -40,6 +40,11 @@ def default_ue_position(index: int, wavelength: float) -> tuple[float, float]:
         (_UE_ANCHOR_X + _UE_STEP_X * index) * wavelength,
         _UE_Y * wavelength,
     )
+
+
+def _is_int(value) -> bool:
+    # bool is an int subclass, but the config text spells integers only.
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -75,23 +80,22 @@ class ScenarioConfig:
     def __post_init__(self):
         for name in ("M", "L", "N", "N_c", "N_O", "trials"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
+            if not _is_int(value) or value < 1:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
         if math.isqrt(self.N) ** 2 != self.N:
             raise ValueError(f"N must be a perfect square, got {self.N}")
         # The config text has no spelling for NaN or infinity.
-        for name in ("wavelength", "d", "R", "r", "p_BS", "p_RIS", "p_UE", "R0",
-                     "Q_interval", "Z_G", "Z_L", "Z_US", "P", "sigma_n2"):
-            value = getattr(self, name)
-            if not np.all(np.isfinite(value)):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(f.default, int) and not np.all(np.isfinite(value)):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         for name in ("wavelength", "d", "R", "r", "P", "sigma_n2"):
             value = getattr(self, name)
             if not value > 0:
                 raise ValueError(f"{name} must be positive, got {value!r}")
         if self.R0 < 0:
             raise ValueError(f"R0 must be nonnegative, got {self.R0!r}")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
+        if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         lo, hi = self.Q_interval
         if not lo < hi:
@@ -213,11 +217,12 @@ class ConfigError(ValueError):
     """Malformed or invalid scenario configuration text."""
 
 
-_INT_KEYS = {"M", "L", "N", "N_c", "N_O", "seed", "trials"}
-_FLOAT_KEYS = {"wavelength", "R0", "Z_G", "Z_L", "Z_US", "P", "sigma_n2"}
-_LENGTH_KEYS = {"d", "R", "r"}
-_VECTOR_KEYS = {"p_BS", "p_RIS"}
-_PAIR_KEYS = {"Q_interval"}
+#: Length keys take a λ suffix, and their defaults scale with the wavelength.
+#: Every other key is an integer, a number or a 2-vector, as the type of its
+#: ScenarioConfig default says.
+_LENGTHS = {"d", "R", "r", "p_BS", "p_RIS", "p_UE"}
+_DEFAULTS = ScenarioConfig()
+_FIELD_NAMES = [f.name for f in fields(ScenarioConfig)]
 _UE_KEY = re.compile(r"^p_UE([1-9][0-9]*)$")
 
 _NUMBER = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
@@ -225,20 +230,48 @@ _SCALED = re.compile(rf"^({_NUMBER})\s*(λ|lambda)?$")
 _VECTOR = re.compile(rf"^\[\s*({_NUMBER})\s*,\s*({_NUMBER})\s*\]\s*(λ|lambda)?$")
 
 
-def _parse_scaled(value: str, line_no: int, key: str):
-    m = _SCALED.match(value)
-    if not m:
-        raise ConfigError(f"line {line_no}: {key} expects a number, got {value!r}")
-    return float(m.group(1)), m.group(2) is not None
+def parse_value(key: str, text: str) -> tuple[int | float | tuple[float, float], bool]:
+    """Value of config `key` written as `text`, and whether it is in wavelengths.
+
+    Receiver i is set by the key `p_UEi`; the field `p_UE` has no key of
+    its own. Errors do not name a line.
+    """
+    field = "p_UE" if _UE_KEY.match(key) else key
+    if field not in _FIELD_NAMES or key == "p_UE":
+        raise ConfigError(f"unknown key {key!r}")
+    default = getattr(_DEFAULTS, field)
+    if isinstance(default, int):
+        try:
+            return int(text), False
+        except ValueError:
+            raise ConfigError(f"{key} expects an integer, got {text!r}") from None
+    if isinstance(default, float):
+        m = _SCALED.match(text)
+        if not m:
+            raise ConfigError(f"{key} expects a number, got {text!r}")
+        value, unit = float(m.group(1)), m.group(2)
+    else:
+        m = _VECTOR.match(text)
+        if not m:
+            raise ConfigError(f"{key} expects a 2-vector like [16, 24]λ, got {text!r}")
+        value, unit = (float(m.group(1)), float(m.group(2))), m.group(3)
+    if unit is not None and field not in _LENGTHS:
+        raise ConfigError(f"{key} is not a length; a λ suffix is not allowed")
+    return value, unit is not None
 
 
-def _parse_vector(value: str, line_no: int, key: str):
-    m = _VECTOR.match(value)
-    if not m:
-        raise ConfigError(
-            f"line {line_no}: {key} expects a 2-vector like [16, 24]λ, got {value!r}"
-        )
-    return (float(m.group(1)), float(m.group(2))), m.group(3) is not None
+def scale_length(value: float | tuple[float, float], factor: float):
+    """A length (number or 2-vector) multiplied by `factor`."""
+    if isinstance(value, tuple):
+        return (value[0] * factor, value[1] * factor)
+    return value * factor
+
+
+def format_value(value) -> str:
+    """Config-text spelling of one value; floats keep every bit."""
+    if isinstance(value, tuple):
+        return f"[{value[0]!r}, {value[1]!r}]"
+    return repr(value)
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -251,7 +284,6 @@ def parse_config(text: str) -> ScenarioConfig:
     """
     raw: dict[str, tuple[object, bool]] = {}
     lines: dict[str, int] = {}
-    ue_raw: dict[int, tuple[tuple[float, float], bool]] = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -260,86 +292,43 @@ def parse_config(text: str) -> ScenarioConfig:
             raise ConfigError(f"line {line_no}: expected 'key = value', got {line!r}")
         key, _, value = stripped.partition("=")
         key = key.strip()
-        value = value.strip()
         if key in lines:
             raise ConfigError(
                 f"line {line_no}: duplicate key {key!r} (first on line {lines[key]})"
             )
         lines[key] = line_no
-        ue_match = _UE_KEY.match(key)
-        if key in _INT_KEYS:
-            try:
-                parsed = int(value)
-            except ValueError:
-                raise ConfigError(
-                    f"line {line_no}: {key} expects an integer, got {value!r}"
-                ) from None
-            raw[key] = (parsed, False)
-        elif key in _FLOAT_KEYS:
-            number, scaled = _parse_scaled(value, line_no, key)
-            if scaled:
-                raise ConfigError(
-                    f"line {line_no}: {key} is not a length; a λ suffix is not allowed"
-                )
-            raw[key] = (number, False)
-        elif key in _LENGTH_KEYS:
-            raw[key] = _parse_scaled(value, line_no, key)
-        elif key in _VECTOR_KEYS:
-            raw[key] = _parse_vector(value, line_no, key)
-        elif key in _PAIR_KEYS:
-            pair, scaled = _parse_vector(value, line_no, key)
-            if scaled:
-                raise ConfigError(
-                    f"line {line_no}: {key} is not a length; a λ suffix is not allowed"
-                )
-            raw[key] = (pair, False)
-        elif ue_match:
-            ue_raw[int(ue_match.group(1))] = _parse_vector(value, line_no, key)
-        else:
-            raise ConfigError(f"line {line_no}: unknown key {key!r}")
+        try:
+            raw[key] = parse_value(key, value.strip())
+        except ConfigError as exc:
+            raise ConfigError(f"line {line_no}: {exc}") from None
 
-    defaults = ScenarioConfig()
-    wavelength = raw.get("wavelength", (defaults.wavelength, False))[0]
-    scale = wavelength / defaults.wavelength
+    wavelength = raw["wavelength"][0] if "wavelength" in raw else _DEFAULTS.wavelength
+    scale = wavelength / _DEFAULTS.wavelength
 
-    def resolve(key: str, default_value):
+    def resolve(key: str, default):
         if key not in raw:
-            return default_value
+            return default
         value, scaled = raw[key]
-        if not scaled:
-            return value
-        if isinstance(value, tuple):
-            return (value[0] * wavelength, value[1] * wavelength)
-        return value * wavelength
+        return scale_length(value, wavelength) if scaled else value
 
-    kwargs = {
-        "wavelength": wavelength,
-        "d": resolve("d", defaults.d * scale),
-        "R": resolve("R", defaults.R * scale),
-        "r": resolve("r", defaults.r * scale),
-        "p_BS": resolve("p_BS", _scale_vec(defaults.p_BS, scale)),
-        "p_RIS": resolve("p_RIS", _scale_vec(defaults.p_RIS, scale)),
-    }
-    for key in _INT_KEYS | _FLOAT_KEYS | _PAIR_KEYS:
-        if key in raw:
-            kwargs[key] = raw[key][0]
+    def default_of(name: str):
+        default = getattr(_DEFAULTS, name)
+        return scale_length(default, scale) if name in _LENGTHS else default
 
-    l_users = kwargs.get("L", defaults.L)
-    for index in ue_raw:
-        if index > l_users:
-            raise ConfigError(
-                f"line {lines[f'p_UE{index}']}: p_UE{index} given but L = {l_users}"
-            )
-    p_ue = []
-    for i in range(1, l_users + 1):
-        if i in ue_raw:
-            value, scaled = ue_raw[i]
-            p_ue.append((value[0] * wavelength, value[1] * wavelength) if scaled else value)
-        elif i <= len(defaults.p_UE):
-            p_ue.append(_scale_vec(defaults.p_UE[i - 1], scale))
-        else:
-            p_ue.append(default_ue_position(i - 1, wavelength))
-    kwargs["p_UE"] = tuple(p_ue)
+    kwargs = {name: resolve(name, default_of(name)) for name in _FIELD_NAMES if name != "p_UE"}
+
+    l_users = kwargs["L"]
+    for key in raw:
+        ue_match = _UE_KEY.match(key)
+        if ue_match and int(ue_match.group(1)) > l_users:
+            raise ConfigError(f"line {lines[key]}: {key} given but L = {l_users}")
+
+    def default_user(index: int) -> tuple[float, float]:
+        if index < len(_DEFAULTS.p_UE):
+            return scale_length(_DEFAULTS.p_UE[index], scale)
+        return default_ue_position(index, wavelength)
+
+    kwargs["p_UE"] = tuple(resolve(f"p_UE{i + 1}", default_user(i)) for i in range(l_users))
 
     try:
         return ScenarioConfig(**kwargs)
@@ -349,10 +338,6 @@ def parse_config(text: str) -> ScenarioConfig:
         if first in lines:
             message = f"line {lines[first]}: {message}"
         raise ConfigError(message) from None
-
-
-def _scale_vec(vec: tuple[float, float], scale: float) -> tuple[float, float]:
-    return (vec[0] * scale, vec[1] * scale)
 
 
 def resize_users(config: ScenarioConfig, l_users: int) -> ScenarioConfig:
@@ -366,30 +351,11 @@ def resize_users(config: ScenarioConfig, l_users: int) -> ScenarioConfig:
 
 def serialize_config(config: ScenarioConfig) -> str:
     """Config text that parses back to an identical ScenarioConfig."""
-    parts = [
-        f"wavelength = {config.wavelength!r}",
-        f"M = {config.M}",
-        f"L = {config.L}",
-        f"N = {config.N}",
-        f"N_c = {config.N_c}",
-        f"N_O = {config.N_O}",
-        f"d = {config.d!r}",
-        f"R = {config.R!r}",
-        f"r = {config.r!r}",
-        f"p_BS = [{config.p_BS[0]!r}, {config.p_BS[1]!r}]",
-        f"p_RIS = [{config.p_RIS[0]!r}, {config.p_RIS[1]!r}]",
-    ]
-    for i, (x, y) in enumerate(config.p_UE, start=1):
-        parts.append(f"p_UE{i} = [{x!r}, {y!r}]")
-    parts += [
-        f"R0 = {config.R0!r}",
-        f"Q_interval = [{config.Q_interval[0]!r}, {config.Q_interval[1]!r}]",
-        f"Z_G = {config.Z_G!r}",
-        f"Z_L = {config.Z_L!r}",
-        f"Z_US = {config.Z_US!r}",
-        f"P = {config.P!r}",
-        f"sigma_n2 = {config.sigma_n2!r}",
-        f"seed = {config.seed}",
-        f"trials = {config.trials}",
-    ]
+    parts = []
+    for name in _FIELD_NAMES:
+        value = getattr(config, name)
+        if name == "p_UE":
+            parts += [f"p_UE{i} = {format_value(p)}" for i, p in enumerate(value, start=1)]
+        else:
+            parts.append(f"{name} = {format_value(value)}")
     return "\n".join(parts) + "\n"

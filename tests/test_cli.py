@@ -358,19 +358,53 @@ def test_sweep_single_point_agrees_with_run(tmp_path):
     cfg = write_config(tmp_path)
     run_out = tmp_path / "run"
     sweep_out = tmp_path / "sweep"
-    run_cli(
-        "run", "--config", str(cfg), "--trials", "2", "--max-iter", "20",
-        "--out", str(run_out),
+    flags = ["--algo", "all", "--trials", "2", "--max-iter", "20", "--baseline-trials", "4"]
+    assert run_cli("run", "--config", str(cfg), *flags, "--out", str(run_out)) == EXIT_OK
+    code = run_cli(
+        "sweep", "--config", str(cfg), "--sweep", "L", "--values", "2", *flags,
+        "--out", str(sweep_out),
     )
-    run_cli(
-        "sweep", "--config", str(cfg), "--sweep", "L", "--values", "2",
-        "--trials", "2", "--max-iter", "20", "--out", str(sweep_out),
+    assert code == EXIT_OK
+    # Sweeping L to its configured value reproduces the plain run exactly,
+    # in every column the two files share but the wall time.
+    shared = ["algo", "mean_rate", "std_rate", "mean_iters"]
+    columns = []
+    for path in (run_out / "summary.csv", sweep_out / "sweep.csv"):
+        header, rows = read_csv(path)
+        columns.append([[row[header.index(name)] for name in shared] for row in rows])
+    assert columns[0] == columns[1]
+    assert [row[0] for row in columns[0]] == ["saris", "mismatched", "random"]
+
+
+@pytest.mark.parametrize(
+    "var, token, fragment",
+    [
+        ("R0", "1_0", "R0 expects a number"),
+        ("d", "1_0e-2", "d expects a number"),
+        ("R0", "0.2lambda", "R0 is not a length"),
+        ("d", "0.5 λ", None),
+    ],
+    ids=["underscore_number", "underscore_length", "lambda_on_non_length", "spaced_lambda"],
+)
+def test_sweep_values_follow_the_config_grammar(tmp_path, capsys, var, token, fragment):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    code = run_cli(
+        "sweep", "--config", str(cfg), "--sweep", var, "--values", token,
+        "--trials", "1", "--max-iter", "5", "--out", str(out),
     )
-    _, summary_rows = read_csv(run_out / "summary.csv")
-    _, sweep_rows = read_csv(sweep_out / "sweep.csv")
-    # Sweeping L to its configured value reproduces the plain run exactly.
-    assert sweep_rows[0][3] == summary_rows[0][2]
-    assert sweep_rows[0][5] == summary_rows[0][4]
+    if fragment is None:
+        assert code == EXIT_OK
+        assert parse_config(f"{var} = {token}").d == 0.03
+        assert [row[:2] for row in read_csv(out / "sweep.csv")[1]] == [[var, "0.03"]]
+        return
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"sweep value {token!r} for {var}: {fragment}" in err
+    assert not out.exists()
+    # The config file rejects the same spelling with the same message.
+    with pytest.raises(ConfigError, match=f"line 1: {fragment}"):
+        parse_config(f"{var} = {token}")
 
 
 def test_sweep_rejects_bad_value(tmp_path, capsys):

@@ -23,10 +23,8 @@ from saris.optimize import (
     optimal_precoder,
     random_baseline,
     saris_optimize,
-    smse,
     smse_and_rate,
     solve_delta,
-    sum_rate,
 )
 from saris.scenario import ScenarioConfig
 
@@ -61,7 +59,7 @@ def test_smse_matches_bruteforce():
         h_d = random_channel(rng)
         h_ris = 0.1 * random_channel(rng)
         w = random_channel(rng, 4, 3)
-        got = smse(h_d, h_ris, w, 1e-3)
+        got = smse_and_rate(h_d + h_ris, w, 1e-3)[0]
         want = smse_bruteforce(h_d + h_ris, w, 1e-3)
         assert_allclose(got, want, rtol=1e-12)
 
@@ -70,7 +68,7 @@ def test_smse_of_zero_precoder():
     rng = np.random.default_rng(1)
     h = random_channel(rng)
     w = np.zeros((4, 3), dtype=complex)
-    assert smse(h, np.zeros_like(h), w, 1e-2) == 3 * (1.0 + 1e-2)
+    assert smse_and_rate(h, w, 1e-2)[0] == 3 * (1.0 + 1e-2)
 
 
 def test_sum_rate_matches_bruteforce():
@@ -79,7 +77,7 @@ def test_sum_rate_matches_bruteforce():
         h = random_channel(rng)
         w = random_channel(rng, 4, 3)
         assert_allclose(
-            sum_rate(h, w, 1e-4), sum_rate_bruteforce(h, w, 1e-4), rtol=1e-12
+            smse_and_rate(h, w, 1e-4)[1], sum_rate_bruteforce(h, w, 1e-4), rtol=1e-12
         )
 
 
@@ -92,8 +90,6 @@ def test_one_product_scores_match_separate_ones(l_rx):
         w = random_channel(rng, 4, l_rx)
         h = h_d + h_ris
         err, rate = smse_and_rate(h, w, 1e-3)
-        assert_allclose(err, smse(h_d, h_ris, w, 1e-3), rtol=1e-13)
-        assert_allclose(rate, sum_rate(h, w, 1e-3), rtol=1e-13)
         assert_allclose(err, smse_bruteforce(h, w, 1e-3), rtol=1e-12)
         assert_allclose(rate, sum_rate_bruteforce(h, w, 1e-3), rtol=1e-12)
 
@@ -103,7 +99,7 @@ def test_interference_free_rate():
     h = np.diag([2.0, 3.0]).astype(complex)
     w = np.eye(2, dtype=complex)
     want = np.log2(1 + 4.0 / 1e-2) + np.log2(1 + 9.0 / 1e-2)
-    assert_allclose(sum_rate(h, w, 1e-2), want, rtol=1e-12)
+    assert_allclose(smse_and_rate(h, w, 1e-2)[1], want, rtol=1e-12)
 
 
 def test_precoder_power_and_stationarity():
@@ -119,11 +115,11 @@ def test_precoder_beats_random_precoders():
     rng = np.random.default_rng(4)
     h = random_channel(rng)
     w_opt = optimal_precoder(h, 1.0, 1e-3)
-    base = smse(h, np.zeros_like(h), w_opt, 1e-3)
+    base = smse_and_rate(h, w_opt, 1e-3)[0]
     for _ in range(20):
         w = random_channel(rng, 4, 3)
         w = w / np.linalg.norm(w)
-        assert base <= smse(h, np.zeros_like(h), w, 1e-3) + 1e-12
+        assert base <= smse_and_rate(h, w, 1e-3)[0] + 1e-12
 
 
 def test_precoder_scalar_closed_form():
@@ -551,10 +547,9 @@ def test_loop_improves_over_starting_point():
 def test_loop_final_pair_is_coherent():
     f, opt, state = run_tiny()
     h = end_to_end_channel(f, state.loads)
-    assert_allclose(
-        state.final_smse, smse(f.H_d, h - f.H_d, state.W, opt.sigma_n2), rtol=1e-12
-    )
-    assert_allclose(state.final_sum_rate, sum_rate(h, state.W, opt.sigma_n2), rtol=1e-12)
+    err, rate = smse_and_rate(h, state.W, opt.sigma_n2)
+    assert_allclose(state.final_smse, err, rtol=1e-12)
+    assert_allclose(state.final_sum_rate, rate, rtol=1e-12)
     assert abs(np.linalg.norm(state.W) ** 2 - opt.power) / opt.power < 1e-12
 
 
@@ -673,7 +668,7 @@ def test_empty_surface_takes_the_zero_step_exit():
         assert state.halving_trace == [0]
         assert_trace_lengths(state)
         assert all(state.feasible_trace)
-        assert state.final_sum_rate == sum_rate(f.H_d, w, opt.sigma_n2)
+        assert state.final_sum_rate == smse_and_rate(f.H_d, w, opt.sigma_n2)[1]
 
 
 def test_nan_initial_reactance_is_rejected_as_bad_input():
@@ -723,7 +718,7 @@ def test_mismatched_scores_on_true_channel():
     state = mismatched_optimize(f, z, opt)
     h_true = end_to_end_channel(f, state.loads)
     assert_allclose(
-        state.final_sum_rate, sum_rate(h_true, state.W, opt.sigma_n2), rtol=1e-12
+        state.final_sum_rate, smse_and_rate(h_true, state.W, opt.sigma_n2)[1], rtol=1e-12
     )
     assert all(state.feasible_trace)
 
@@ -753,7 +748,7 @@ def test_baseline_final_metrics_match_best_draw():
     state = random_baseline(f, opt, trials=8, rng=np.random.default_rng(10))
     h = end_to_end_channel(f, state.loads)
     assert_allclose(
-        state.final_sum_rate, sum_rate(h, state.W, opt.sigma_n2), rtol=1e-12
+        state.final_sum_rate, smse_and_rate(h, state.W, opt.sigma_n2)[1], rtol=1e-12
     )
     assert state.final_sum_rate == state.rate_trace[-1]
     with pytest.raises(ValueError):

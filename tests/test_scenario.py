@@ -210,6 +210,10 @@ def test_config_validation():
         ScenarioConfig(L=2, p_UE=((1.0, 1.0),))
     with pytest.raises(ValueError):
         ScenarioConfig(seed=-1)
+    # The config text spells integers only, so bool is not one.
+    for field, value in (("trials", True), ("seed", False), ("N", True)):
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            ScenarioConfig(**{field: value})
     for field, value in (("R0", np.nan), ("Z_G", np.inf), ("p_RIS", (0.0, np.nan))):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             ScenarioConfig(**{field: value})
