@@ -167,12 +167,15 @@ def fold_esos(z: ImpedanceSet) -> FoldedChannel:
     """Eliminate the ESO block from the multiport description.
 
     Every block is applied through LU solves; a condition estimate above
-    COND_LIMIT raises SingularBlockError naming the offending block.
+    COND_LIMIT raises SingularBlockError naming the offending block. The
+    blocks are read as views of `z.Z`; Z_OO + Z_US is formed once, as a
+    Fortran-ordered copy of Z_OO with z_us added on its diagonal, which
+    getrf then factors in place.
     """
     ns = z.n_eso
     m, l = z.m_tx, z.l_rx
     if ns:
-        lu = _guarded_lu(z.Z_OO + z.Z_US, "Z_OO + Z_US")
+        lu = _guarded_lu(_plus_diagonal(z.Z_OO, z.z_us), "Z_OO + Z_US")
         x_sol = _lu_solve(lu, z.Z_OT)
         y_sol = _lu_solve(lu, z.Z_OS)
     else:
@@ -183,12 +186,12 @@ def fold_esos(z: ImpedanceSet) -> FoldedChannel:
     z_sos = np.asfortranarray(-(z.Z_SO @ y_sol))
     z_sot = z.Z_SO @ x_sol - z.Z_ST
 
-    zl_diag = np.diag(z.Z_L)
-    if np.any(zl_diag == 0):
+    if np.any(z.z_l == 0):
         raise SingularBlockError("Z_L", np.inf)
-    a_rl = np.eye(l, dtype=complex) + z.Z_RR / zl_diag[None, :]
+    a_rl = np.eye(l, dtype=complex) + z.Z_RR / z.z_l[None, :]
     z_rl = _lu_solve(_guarded_lu(a_rl, "I + Z_RR Z_L^-1"), np.eye(l, dtype=complex))
-    z_tg = _lu_solve(_guarded_lu(z.Z_TT + z.Z_G, "Z_TT + Z_G"), np.eye(m, dtype=complex))
+    a_tg = _plus_diagonal(z.Z_TT, z.z_g)
+    z_tg = _lu_solve(_guarded_lu(a_tg, "Z_TT + Z_G"), np.eye(m, dtype=complex))
 
     return FoldedChannel(
         Z_ROT=z_rot,
@@ -206,9 +209,15 @@ def scatter_matrix(f: FoldedChannel, loads: RisLoads) -> np.ndarray:
     """The load-dependent inner matrix Z_SS + Z_SOS + Z_RIS, Fortran-ordered
     as LAPACK wants it: a copy of the cached A = Z_SS + Z_SOS with the load
     diagonal added."""
-    s = f.A.copy(order="F")
+    return _plus_diagonal(f.A, loads.z_diagonal)
+
+
+def _plus_diagonal(a: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """A Fortran-ordered copy of the square `a` with `d` added to its
+    diagonal, ready for LAPACK to factor in place."""
+    s = a.copy(order="F")
     # The diagonal as a strided view of the freshly made Fortran buffer.
-    s.reshape(-1, order="F")[:: len(s) + 1] += loads.z_diagonal
+    s.reshape(-1, order="F")[:: len(s) + 1] += d
     return s
 
 

@@ -19,7 +19,7 @@ broadcasts that geometry's table column instead of gathering one per pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -326,139 +326,120 @@ def mutual_impedance(a: Dipole, b: Dipole, wavelength: float) -> complex:
     return complex(_pair_impedances([a, b], [0], [0 if a.same_geometry(b) else 1], wavelength)[0])
 
 
+def _block(rows: str, cols: str) -> property:
+    """A named block of the port matrix as a writable view of Z; rows and
+    cols name port groups of `ImpedanceSet._ports`."""
+    return property(lambda self: self.Z[self._ports(rows), self._ports(cols)])
+
+
 @dataclass
 class ImpedanceSet:
-    """Block-partitioned impedance description of one deployment.
+    """Port description of one deployment: the reciprocal K x K port matrix Z,
+    held once, and the diagonal terminations that close it.
 
-    The environment block Z_EE stacks the ESO ports first and the RIS ports
-    second; n_ris locates the partition. Z_G, Z_L, Z_US are the termination
-    matrices at the transmitter, receiver, and ESO ports.
+    Z orders its ports [TX, RX, ESO, RIS]: m_tx transmit, l_rx receive and,
+    last, n_ris RIS ports; the ESO ports are the rest. Each named block is a
+    view of Z, so writing into a block writes Z. Its letters name the row and
+    column groups: T and R for the transmit and receive ports, O and S for
+    the ESO and RIS ports, and E for both (the environment, ESOs first).
+
+    z_g, z_l and z_us are the termination diagonals at the transmit, receive
+    and ESO ports; Z_G, Z_L and Z_US return them as square matrices.
     """
 
-    Z_TT: np.ndarray
-    Z_RR: np.ndarray
-    Z_RT: np.ndarray
-    Z_RE: np.ndarray
-    Z_ET: np.ndarray
-    Z_EE: np.ndarray
-    Z_G: np.ndarray
-    Z_L: np.ndarray
-    Z_US: np.ndarray
-    n_ris: int = field(default=-1)
+    Z: np.ndarray
+    m_tx: int
+    l_rx: int
+    n_ris: int
+    z_g: np.ndarray
+    z_l: np.ndarray
+    z_us: np.ndarray
 
-    def __post_init__(self):
-        if self.n_ris < 0:
-            self.n_ris = self.Z_EE.shape[0] - self.Z_US.shape[0]
-
-    @property
-    def m_tx(self) -> int:
-        return self.Z_TT.shape[0]
-
-    @property
-    def l_rx(self) -> int:
-        return self.Z_RR.shape[0]
+    Z_TT = _block("T", "T")
+    Z_RR = _block("R", "R")
+    Z_RT = _block("R", "T")
+    Z_RE = _block("R", "E")
+    Z_ET = _block("E", "T")
+    Z_EE = _block("E", "E")
+    Z_OO = _block("O", "O")
+    Z_OS = _block("O", "S")
+    Z_SO = _block("S", "O")
+    Z_SS = _block("S", "S")
+    Z_RO = _block("R", "O")
+    Z_RS = _block("R", "S")
+    Z_OT = _block("O", "T")
+    Z_ST = _block("S", "T")
 
     @property
     def n_eso(self) -> int:
-        return self.Z_EE.shape[0] - self.n_ris
+        return len(self.Z) - self.m_tx - self.l_rx - self.n_ris
+
+    def _ports(self, group: str) -> slice:
+        """Indices of a port group in Z."""
+        o = self.m_tx + self.l_rx
+        s = len(self.Z) - self.n_ris
+        return {
+            "T": slice(0, self.m_tx), "R": slice(self.m_tx, o), "E": slice(o, None),
+            "O": slice(o, s), "S": slice(s, None),
+        }[group]
 
     @property
-    def Z_OO(self) -> np.ndarray:
-        return self.Z_EE[: self.n_eso, : self.n_eso]
+    def Z_G(self) -> np.ndarray:
+        return np.diag(self.z_g)
 
     @property
-    def Z_OS(self) -> np.ndarray:
-        return self.Z_EE[: self.n_eso, self.n_eso:]
+    def Z_L(self) -> np.ndarray:
+        return np.diag(self.z_l)
 
     @property
-    def Z_SO(self) -> np.ndarray:
-        return self.Z_EE[self.n_eso:, : self.n_eso]
-
-    @property
-    def Z_SS(self) -> np.ndarray:
-        return self.Z_EE[self.n_eso:, self.n_eso:]
-
-    @property
-    def Z_RO(self) -> np.ndarray:
-        return self.Z_RE[:, : self.n_eso]
-
-    @property
-    def Z_RS(self) -> np.ndarray:
-        return self.Z_RE[:, self.n_eso:]
-
-    @property
-    def Z_OT(self) -> np.ndarray:
-        return self.Z_ET[: self.n_eso, :]
-
-    @property
-    def Z_ST(self) -> np.ndarray:
-        return self.Z_ET[self.n_eso:, :]
+    def Z_US(self) -> np.ndarray:
+        return np.diag(self.z_us)
 
     def full_matrix(self) -> np.ndarray:
-        """Assembled multiport matrix in port order [TX, RX, ESO, RIS]."""
-        return np.block(
-            [
-                [self.Z_TT, self.Z_RT.T, self.Z_ET.T],
-                [self.Z_RT, self.Z_RR, self.Z_RE],
-                [self.Z_ET, self.Z_RE.T, self.Z_EE],
-            ]
-        )
+        """The port matrix Z itself, in port order [TX, RX, ESO, RIS]."""
+        return self.Z
 
     def validate(self, tol: float = 1e-10):
-        m, l, n, ns = self.m_tx, self.l_rx, self.n_ris, self.n_eso
-        expect = {
-            "Z_TT": (m, m), "Z_RR": (l, l), "Z_RT": (l, m),
-            "Z_RE": (l, n + ns), "Z_ET": (n + ns, m), "Z_EE": (n + ns, n + ns),
-            "Z_G": (m, m), "Z_L": (l, l), "Z_US": (ns, ns),
-        }
-        for name, shape in expect.items():
-            got = getattr(self, name).shape
-            if got != shape:
-                raise ValueError(f"{name} has shape {got}, expected {shape}")
-        for name in ("Z_G", "Z_L", "Z_US"):
-            if not _is_diagonal(getattr(self, name)):
-                raise ValueError(f"{name} must be strictly diagonal")
-        # full_matrix mirrors its off-diagonal blocks, so those count twice in
-        # its norm and only the diagonal blocks can be asymmetric.
-        diagonal = (self.Z_TT, self.Z_RR, self.Z_EE)
-        norm2 = sum(_norm2(b) for b in diagonal)
-        norm2 += 2.0 * sum(_norm2(b) for b in (self.Z_RT, self.Z_RE, self.Z_ET))
-        if norm2 > 0:
-            # An exactly symmetric block, as assembly builds, forms no difference.
-            asym2 = sum(_norm2(b - b.T) for b in diagonal if not np.array_equal(b, b.T))
-            asym = np.sqrt(asym2 / norm2)
+        """Raise ValueError unless Z is square, the partition fits it, each
+        termination diagonal has one entry per port it closes, and Z is
+        reciprocal: ||Z - Z^T|| / ||Z|| < tol in the Frobenius norm."""
+        shape = self.Z.shape
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise ValueError(f"Z has shape {shape}, expected a square matrix")
+        if min(self.m_tx, self.l_rx, self.n_ris, self.n_eso) < 0:
+            raise ValueError(
+                f"partition m_tx={self.m_tx}, l_rx={self.l_rx}, n_ris={self.n_ris} "
+                f"does not fit {shape[0]} ports"
+            )
+        for name, count in (("z_g", self.m_tx), ("z_l", self.l_rx), ("z_us", self.n_eso)):
+            got = np.shape(getattr(self, name))
+            if got != (count,):
+                raise ValueError(f"{name} has shape {got}, expected ({count},)")
+        # An exactly symmetric Z, as assembly builds, forms no difference.
+        if not np.array_equal(self.Z, self.Z.T):
+            asym = np.linalg.norm(self.Z - self.Z.T) / np.linalg.norm(self.Z)
             if asym >= tol:
                 raise ValueError(f"impedance matrix asymmetry {asym:.3e} exceeds {tol:.1e}")
 
 
-def _norm2(mat) -> float:
-    """Squared Frobenius norm."""
-    return np.vdot(mat, mat).real
-
-
-def _is_diagonal(mat) -> bool:
-    """Whether a square mat is zero off its diagonal, read through views of
-    its entries. A NaN on the diagonal fails too, as it differs from itself."""
-    n = len(mat)
-    if n == 0:
-        return True
-    off = np.ravel(mat)[1:].reshape(n - 1, n + 1)[:, :n]
-    return not (np.any(off) or np.any(np.isnan(np.diagonal(mat))))
-
-
-def _termination_matrix(value, count, name) -> np.ndarray:
-    value = np.asarray(value, dtype=complex)
+def _termination_diagonal(value, count, name) -> np.ndarray:
+    """Diagonal of a termination given as a scalar, its diagonal, or a square
+    diagonal matrix; a NaN entry is rejected."""
+    value = np.array(value, dtype=complex)
     if value.ndim == 0:
-        return np.eye(count, dtype=complex) * complex(value)
-    if value.ndim == 1:
+        value = np.full(count, value)
+    elif value.ndim == 1:
         if value.shape[0] != count:
             raise ValueError(f"{name} has {value.shape[0]} entries, expected {count}")
-        return np.diag(value)
-    if value.shape != (count, count):
+    elif value.shape != (count, count):
         raise ValueError(f"{name} has shape {value.shape}, expected ({count}, {count})")
-    if not _is_diagonal(value):
-        raise ValueError(f"{name} must be diagonal")
-    return value.astype(complex)
+    else:
+        if not np.array_equal(value, np.diag(np.diag(value)), equal_nan=True):
+            raise ValueError(f"{name} must be diagonal")
+        value = np.diag(value)
+    if np.isnan(value).any():
+        raise ValueError(f"{name} has a NaN entry")
+    return value
 
 
 def assemble_impedances(
@@ -468,11 +449,15 @@ def assemble_impedances(
     z_l=50.0,
     z_us=0.0,
 ) -> ImpedanceSet:
-    """Build the block impedance structure for a full deployment.
+    """Build the port description of a full deployment.
 
     Dipoles may arrive in any order; they are grouped by role with ordering
-    preserved inside each role. Entries on and above the diagonal come from
-    the pair routine that `mutual_impedance` uses, so they equal its values.
+    preserved inside each role. The K x K port matrix is filled once and
+    becomes `ImpedanceSet.Z` as it is, with no block copies. Entries on and
+    above the diagonal come from the pair routine that `mutual_impedance`
+    uses, so they equal its values. Each termination (z_g, z_l, z_us) is a
+    scalar, one value per port, or a diagonal matrix, and is kept as its
+    diagonal.
     """
     groups: dict[Role, list[Dipole]] = {role: [] for role in Role}
     for dip in dipoles:
@@ -497,16 +482,13 @@ def assemble_impedances(
     full[iu, ju] = full[ju, iu] = _pair_impedances(ordered, iu, ju, wavelength)
 
     zset = ImpedanceSet(
-        Z_TT=full[:m, :m].copy(),
-        Z_RR=full[m:m + l, m:m + l].copy(),
-        Z_RT=full[m:m + l, :m].copy(),
-        Z_RE=full[m:m + l, m + l:].copy(),
-        Z_ET=full[m + l:, :m].copy(),
-        Z_EE=full[m + l:, m + l:].copy(),
-        Z_G=_termination_matrix(z_g, m, "Z_G"),
-        Z_L=_termination_matrix(z_l, l, "Z_L"),
-        Z_US=_termination_matrix(z_us, ns, "Z_US"),
+        Z=full,
+        m_tx=m,
+        l_rx=l,
         n_ris=n,
+        z_g=_termination_diagonal(z_g, m, "Z_G"),
+        z_l=_termination_diagonal(z_l, l, "Z_L"),
+        z_us=_termination_diagonal(z_us, ns, "Z_US"),
     )
     zset.validate()
     return zset

@@ -225,6 +225,7 @@ _DEFAULTS = ScenarioConfig()
 _FIELD_NAMES = [f.name for f in fields(ScenarioConfig)]
 _UE_KEY = re.compile(r"^p_UE([1-9][0-9]*)$")
 
+_INTEGER = re.compile(r"^[+-]?\d+$")
 _NUMBER = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 _SCALED = re.compile(rf"^({_NUMBER})\s*(λ|lambda)?$")
 _VECTOR = re.compile(rf"^\[\s*({_NUMBER})\s*,\s*({_NUMBER})\s*\]\s*(λ|lambda)?$")
@@ -241,10 +242,9 @@ def parse_value(key: str, text: str) -> tuple[int | float | tuple[float, float],
         raise ConfigError(f"unknown key {key!r}")
     default = getattr(_DEFAULTS, field)
     if isinstance(default, int):
-        try:
-            return int(text), False
-        except ValueError:
-            raise ConfigError(f"{key} expects an integer, got {text!r}") from None
+        if not _INTEGER.match(text):
+            raise ConfigError(f"{key} expects an integer, got {text!r}")
+        return int(text), False
     if isinstance(default, float):
         m = _SCALED.match(text)
         if not m:

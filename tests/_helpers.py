@@ -36,18 +36,14 @@ def random_impedance_set(rng, m=3, l_rx=2, n_eso=6, n_ris=4, z_us=0.0):
     a = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
     full = 0.5 * (a + a.T)
     full[np.diag_indices(k)] += 6.0 + 2.0j
-    s0, s1, s2 = m, m + l_rx, m + l_rx + n_eso
     return ImpedanceSet(
-        Z_TT=full[:s0, :s0],
-        Z_RR=full[s0:s1, s0:s1],
-        Z_RT=full[s0:s1, :s0],
-        Z_RE=full[s0:s1, s1:],
-        Z_ET=full[s1:, :s0],
-        Z_EE=full[s1:, s1:],
-        Z_G=50.0 * np.eye(m),
-        Z_L=50.0 * np.eye(l_rx),
-        Z_US=z_us * np.eye(n_eso),
+        Z=full,
+        m_tx=m,
+        l_rx=l_rx,
         n_ris=n_ris,
+        z_g=np.full(m, 50.0),
+        z_l=np.full(l_rx, 50.0),
+        z_us=np.full(n_eso, z_us),
     )
 
 
@@ -104,7 +100,13 @@ def quad_mutual_impedance(src, tst, wavelength):
         )
         return kern * np.sin(k * (h_t - abs(z - zc_t)))
 
-    pts = sorted(set(np.clip([zc_t, zc_s, zc_s - h_s, zc_s + h_s], zc_t - h_t, zc_t + h_t)))
+    # Near each wave origin the field varies on the scale of rho. When rho is
+    # far below the test length, quad steps over that scale (a 2e-4 ohm error
+    # at rho = 1e-6 wavelengths beside touching tips) unless breakpoints at
+    # geometric distances from the origins make it resolve it.
+    origins = [zc_s, zc_s - h_s, zc_s + h_s]
+    near = [p + side * rho * 10.0**j for p in origins for side in (-1, 1) for j in range(8)]
+    pts = sorted(set(np.clip([zc_t, *origins, *near], zc_t - h_t, zc_t + h_t)))
     re = quad(lambda z: f(z).real, zc_t - h_t, zc_t + h_t, limit=10000,
               epsabs=1e-13, epsrel=1e-13, points=pts)[0]
     im = quad(lambda z: f(z).imag, zc_t - h_t, zc_t + h_t, limit=10000,

@@ -1,6 +1,7 @@
 """Folding the scatterer ports and evaluating the load-dependent channel."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -350,3 +351,18 @@ def test_condition_estimate_gets_the_exact_one_norm(monkeypatch):
     assert len(seen) == 3 * len(folded)
     for got, want in seen:
         assert abs(got - want) <= 1e-14 * want
+
+
+def test_front_end_memory_is_bounded_by_the_port_matrix():
+    # Assembly plus fold of K = 1622 ports: the K x K port matrix is held
+    # once, the terminations as diagonals, and Z_OO + Z_US is factored in
+    # place. Dense block copies and terminations peak near 4 copies of it.
+    tracemalloc.start()
+    try:
+        z, _ = folded_scenario(ScenarioConfig(seed=1234, N_c=8, N_O=200))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    k = len(z.full_matrix())
+    assert k == 1622
+    assert peak < 3.6 * 16 * k**2, f"traced peak {peak / (16 * k**2):.2f} x 16 K^2 bytes"

@@ -383,8 +383,12 @@ def test_sweep_single_point_agrees_with_run(tmp_path):
         ("d", "1_0e-2", "d expects a number"),
         ("R0", "0.2lambda", "R0 is not a length"),
         ("d", "0.5 λ", None),
+        ("N", "1_6", "N expects an integer"),
     ],
-    ids=["underscore_number", "underscore_length", "lambda_on_non_length", "spaced_lambda"],
+    ids=[
+        "underscore_number", "underscore_length", "lambda_on_non_length", "spaced_lambda",
+        "underscore_integer",
+    ],
 )
 def test_sweep_values_follow_the_config_grammar(tmp_path, capsys, var, token, fragment):
     cfg = write_config(tmp_path)

@@ -1,5 +1,7 @@
 """Element-level impedance computation and deployment assembly."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -130,6 +132,8 @@ def test_kernel_matches_live_oracle(a, b):
 )
 # rho^2 underflows to 0 here although rho > 0.
 @example(la=0.375, lb=0.375, rho=6.976699731693252e-198, dz=0.5)
+# Tips touching beside a separation far below the length.
+@example(la=0.375, lb=0.375, rho=1e-06, dz=0.375)
 def test_random_parallel_pairs_match_oracle_and_are_reciprocal(la, lb, rho, dz):
     a = dip(length=la * LAM)
     b = dip(x=rho * LAM, z=dz * LAM, length=lb * LAM)
@@ -399,6 +403,8 @@ def test_assembly_termination_forms():
     assert np.array_equal(scalar.Z_G, matrix.Z_G)
     with pytest.raises(ValueError):
         assemble_impedances(dipoles, LAM, z_g=np.full((2, 2), 50.0))
+    with pytest.raises(ValueError, match="NaN"):
+        assemble_impedances(dipoles, LAM, z_us=np.nan)
 
 
 @pytest.mark.parametrize("wavelength", [-LAM, 0.0, np.nan], ids=["negative", "zero", "nan"])
@@ -442,3 +448,18 @@ def test_validate_reports_the_dense_relative_asymmetry(block):
     dense = np.linalg.norm(full - full.T) / np.linalg.norm(full)
     with pytest.raises(ValueError, match=f"asymmetry {dense:.3e} exceeds"):
         z.validate(tol=1e-3)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda z: dataclasses.replace(z, Z=z.Z[:, :-1]), "expected a square matrix"),
+        (lambda z: dataclasses.replace(z, n_ris=z.n_ris + z.n_eso + 1), "does not fit 8 ports"),
+        (lambda z: dataclasses.replace(z, z_us=z.z_us[:-1]), "z_us has shape"),
+    ],
+    ids=["non_square", "partition_too_large", "short_z_us"],
+)
+def test_validate_rejects_what_does_not_fit_the_port_matrix(change, message):
+    z = assemble_impedances(small_deployment(), LAM)
+    with pytest.raises(ValueError, match=message):
+        change(z).validate()

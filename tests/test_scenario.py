@@ -331,6 +331,7 @@ def test_parse_fills_users_beyond_defaults():
         ("M = 2\nM = 3", "duplicate"),
         ("M 2", "key = value"),
         ("M = abc", "integer"),
+        ("N = 1_6", "integer"),
         ("wavelength = 0.06 λ", "not a length"),
         ("Q_interval = [-10, -5] lambda", "not a length"),
         ("p_BS = 4", "2-vector"),
