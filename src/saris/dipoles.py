@@ -10,11 +10,13 @@ side-by-side, staggered, unequal and collinear ones, tips touching included.
 
 The form's coefficients depend only on a pair's axial geometry (the height
 offset and the two lengths). Assembly tabulates them once for the geometries
-present, and each pair evaluates just the integrals at its geometry's
-distinct axial offsets: six for dipoles side by side with equal lengths, at
-most eighteen. Pairs are evaluated in fixed-size slices; a slice whose pairs
-share one geometry, as every slice of a generated deployment does,
-broadcasts that geometry's table column instead of gathering one per pair.
+present, with its trigonometry in exact phase so that coefficients which
+vanish come out as zeros, and each pair evaluates just the integrals that
+its geometry weights: three for half-wave dipoles side by side, the case of
+every generated pair, and at most eighteen. Pairs are evaluated in
+fixed-size slices; a slice whose pairs share one geometry, as every slice of
+a generated deployment does, broadcasts that geometry's table column instead
+of gathering one per pair.
 """
 
 from __future__ import annotations
@@ -28,9 +30,10 @@ import numpy as np
 ETA0 = 376.730313668
 
 # Pairs per kernel call in assembly; it bounds the per-slice working set to a
-# few MB. Larger slices time faster when an assembly is repeated in one
-# process, but a process's first assembly then takes several times the page
-# faults (16384: ~55k against ~9k on clutter) and runs slower.
+# few MB. A process's first clutter assembly (338 253 pairs, one core, 12
+# alternating runs) took a median 0.218 s at 4096 and 0.204 s at 8192, with
+# 8192 faster in only 7 runs, inside the spread; it faulted in ~7.7k pages
+# against ~8.1k.
 _PAIRS_PER_CALL = 4096
 
 # Geometries per block of the geometry table. The temporaries of a block this
@@ -91,43 +94,61 @@ class Dipole:
         )
 
 
-def _geometry_table(dz, h_src, h_tst, k) -> np.ndarray:
+def _geometry_table(dz, h_src, h_tst, wavelength) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form coefficients of the induced-EMF impedance per axial geometry.
 
     Row g of dz, h_src, h_tst is one geometry: the test centre height above
-    the source centre, and the two half-lengths. Returns a (7n, G) table whose
-    column g is geometry g: rows 0..n-1 hold its distinct axial offsets |t|
-    ascending, padded with its smallest, and six more blocks of n rows its
-    coefficients at those offsets (see `_geometry_block`), zero where padded.
+    the source centre, and the two half-lengths. Returns (offsets, coefs):
+    column g of the (n, G) offsets holds geometry g's weighted axial offsets
+    |t| > 0 ascending, and column g of the (3, 2n + z, G) coefs the real and
+    imaginary coefficients of Cin + jSi and the imaginary ones of ln x at its
+    arguments k(R - |t|), then k(R + |t|), then, if z = 1, k rho (see
+    `_geometry_block`). A geometry with fewer offsets than the widest is
+    padded at zero weight; z = 0 when no geometry weights |t| = 0.
     """
     # Built in blocks: for thousands of geometries at once, the temporaries
     # cost more than the arithmetic.
     starts = range(0, dz.size, _GEOMETRIES_PER_BLOCK)
     blocks = [
-        _geometry_block(*(a[lo:lo + _GEOMETRIES_PER_BLOCK] for a in (dz, h_src, h_tst)), k)
+        _geometry_block(*(a[lo:lo + _GEOMETRIES_PER_BLOCK] for a in (dz, h_src, h_tst)), wavelength)
         for lo in starts
     ]
-    n = max(b.shape[1] for b in blocks)
-    table = np.zeros((7, n, dz.size))
-    for lo, b in zip(starts, blocks):
-        p = slice(lo, lo + b.shape[2])
-        table[:, : b.shape[1], p] = b
-        table[0, b.shape[1]:, p] = b[0, 0]
-    return table.reshape(7 * n, dz.size)
+    n = max(len(o) for o, _, _ in blocks)
+    offsets = np.empty((n, dz.size))
+    coefs = np.zeros((3, 2 * n + 1, dz.size))
+    for lo, (o, c, merged) in zip(starts, blocks):
+        m, p = len(o), slice(lo, lo + o.shape[1])
+        offsets[:m, p] = o
+        offsets[m:, p] = o[0]
+        coefs[:, :m, p] = c[:, 0]
+        coefs[:, n:n + m, p] = c[:, 1]
+        coefs[:, 2 * n, p] = merged
+    return offsets, coefs if coefs[:, 2 * n].any() else coefs[:, :2 * n]
 
 
-def _geometry_block(dz, h_src, h_tst, k) -> np.ndarray:
-    """`_geometry_table` for a few geometries, as (7, n, G) with n their most
-    distinct |t|.
+def _geometry_block(dz, h_src, h_tst, wavelength) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_geometry_table` for a few geometries, as the (m, G) offsets, the
+    (3, 2, m, G) coefficients at k(R -+ |t|) of each, and the (3, G) ones at
+    k rho, with m their most weighted offsets.
 
     The source's field is three spherical waves e^{-jkR}/R, from its tips and
     centre; each integrates against the e^{+-jkt} parts of the test current
     to exponential integrals E1(jk(R -+ t)) of the axial offset t (Carter
     1932; Baker and LaGrone 1962). Their coefficients depend on the geometry
-    alone, so a pair only evaluates the integrals at its geometry's distinct
-    |t|.
+    alone, so a pair only evaluates the integrals at the arguments its
+    geometry weights: for dipoles side by side with equal lengths h, those
+    of |t| = 0 and |t| = 2h.
     """
-    sin_src, sin_tst = np.sin(k * h_src), np.sin(k * h_tst)
+    # Deferred with `sici` in `_coupling`.
+    from scipy.special import cosdg, sindg
+
+    # Every sine and cosine is taken of the phase in degrees, exact at
+    # multiples of 90: a half-wave geometry's vanishing coefficients come out
+    # as exact zeros, and its columns carrying them are dropped.
+    def phase(v):
+        return 360.0 * (v / wavelength)
+
+    sin_src, sin_tst = sindg(phase(h_src)), sindg(phase(h_tst))
     if np.any(np.abs(sin_src) < 1e-6) or np.any(np.abs(sin_tst) < 1e-6):
         raise ValueError(
             "dipole half-length at a multiple of wavelength/2: sinusoidal "
@@ -139,8 +160,8 @@ def _geometry_block(dz, h_src, h_tst, k) -> np.ndarray:
     points = np.stack([dz - h_tst, dz, dz + h_tst], axis=1)
     t = points[:, None, :] - origins[:, :, None]
 
-    # Each row's distinct |t| ascending, padded with its smallest at zero
-    # weight; col[g, i, e] is the column of |t[g, i, e]|.
+    # Each row's distinct |t| ascending, padded with its smallest;
+    # col[g, i, e] is the slot of |t[g, i, e]|.
     abs_t = np.abs(t).reshape(dz.size, 9)
     order = np.argsort(abs_t, axis=1)
     sorted_t = np.take_along_axis(abs_t, order, axis=1)
@@ -150,8 +171,8 @@ def _geometry_block(dz, h_src, h_tst, k) -> np.ndarray:
     col = np.empty_like(rank)
     np.put_along_axis(col, order, rank, axis=1)
     col = col.reshape(t.shape)
-    table = np.repeat(sorted_t[:, :1], n, axis=1)
-    np.put_along_axis(table, rank, sorted_t, axis=1)
+    slots = np.repeat(sorted_t[:, :1], n, axis=1)
+    np.put_along_axis(slots, rank, sorted_t, axis=1)
     # Columns 0..n-1 hold x = k(R - |t|), columns n..2n-1 hold k(R + |t|);
     # which one is k(R - t) follows the sign of t.
     neg = np.where(t >= 0, 0, n)
@@ -163,10 +184,10 @@ def _geometry_block(dz, h_src, h_tst, k) -> np.ndarray:
     # weighted 1, 1, -2 cos(kh_src) and the sum scaled by j eta / (4 pi sin
     # sin), that is (s / 2) e^{-+jkd} [Cin + jSi] for a real s.
     weight = np.ones((dz.size, 3))
-    weight[:, 2] = -2.0 * np.cos(k * h_src)
+    weight[:, 2] = -2.0 * cosdg(phase(h_src))
     s = (ETA0 / (4.0 * np.pi * sin_src * sin_tst))[:, None, None] * weight[:, :, None] * [1.0, -1.0]
-    d = t[:, :, ::2]
-    half_cos, half_sin = 0.5 * s * np.cos(k * d), 0.5 * s * np.sin(k * d)
+    d = phase(t[:, :, ::2])
+    half_cos, half_sin = 0.5 * s * cosdg(d), 0.5 * s * sindg(d)
     # The logs sum to -sigma sin(kd) [ln(R + t)] = sigma sin(kd) [ln(R - t)],
     # as ln(R + t) + ln(R - t) = 2 ln rho. The form that is finite on the
     # half's side of the origin keeps rho = 0 finite; at touching tips its
@@ -189,30 +210,45 @@ def _geometry_block(dz, h_src, h_tst, k) -> np.ndarray:
         [at_points(log_minus), at_points(log_plus)],
     ]
     bins = (columns * dz.size + np.arange(dz.size)[:, None, None]).ravel()
-    sums = [np.bincount(bins, np.ravel(v), 2 * n * dz.size) for v in values]
-    return np.concatenate([table.T.ravel(), *sums]).reshape(7, n, dz.size)
+    coef = np.stack([np.bincount(bins, np.ravel(v), 2 * n * dz.size) for v in values])
+    coef = coef.reshape(3, 2, n, dz.size)
+
+    # At |t| = 0, always slot 0, both arguments are k rho: one column with
+    # the two summed. A slot's two columns share their Cin + jSi weights up to
+    # sign, so slots with |t| > 0 are kept or dropped whole; the kept ones
+    # move to the front in ascending order, and the dropped ones pad at zero
+    # weight.
+    zero = slots[:, 0] == 0
+    merged = np.where(zero, coef[:, 0, 0] + coef[:, 1, 0], 0.0)
+    coef[:, :, 0, zero] = 0.0
+    weighted = coef.any(axis=(0, 1))
+    m = max(weighted.sum(axis=0).max(), 1)
+    keep = np.argsort(~weighted, axis=0, kind="stable")[:m] * dz.size + np.arange(dz.size)
+    return slots.T.take(keep), coef.reshape(3, 2, -1).take(keep, axis=2), merged
 
 
-def _coupling(rho, cols, k) -> np.ndarray:
+def _coupling(rho, offsets, coefs, k) -> np.ndarray:
     """Impedances of (source, test) pairs from their geometries' table columns.
 
     rho has one entry per pair: the horizontal separation, or the wire radius
-    for a self term. cols holds the `_geometry_table` columns of the pairs,
-    one per pair or a single one that every pair shares.
+    for a self term. offsets and coefs hold the `_geometry_table` columns of
+    the pairs, one per pair or a single one that every pair shares.
     """
     # Deferred: loading scipy.special adds ~75 ms to `import saris.cli`.
     from scipy.special import sici
 
-    n = len(cols) // 7
-    abs_t, a_re, a_im, b_im = np.split(cols, [n, 3 * n, 5 * n])
+    n = len(offsets)
+    a_re, a_im, b_im = coefs
     # E1(jx) = -gamma - ln x + Cin(x) + j(Si(x) - pi/2); constants cancel
-    # between end points. R - |t| is taken as rho^2 / (R + |t|), free of
-    # cancellation. At rho = 0 (or rho^2 underflowing) it is 0, where
-    # Cin + jSi is 0 and ln x is never used (0 stands in for it); with
+    # between end points. One hypot per offset serves both of its arguments,
+    # R - |t| taken as rho^2 / (R + |t|), free of cancellation; the |t| = 0
+    # column needs none. At rho = 0 (or rho^2 underflowing) an argument is 0,
+    # where Cin + jSi is 0 and ln x is never used (0 stands in for it); with
     # touching tips R + |t| is 0 too. Only then does a slice need the mask.
     with np.errstate(divide="ignore", invalid="ignore"):
-        far = np.hypot(rho, abs_t) + abs_t
-        x = k * np.concatenate([rho**2 / far, far])
+        far = np.hypot(rho, offsets) + offsets
+        near = rho**2 / far
+    x = k * np.concatenate([near, far, np.broadcast_to(rho, (len(a_re) - 2 * n, rho.size))])
     pos = x > 0
     masked = not pos.all()
     if masked:
@@ -223,9 +259,10 @@ def _coupling(rho, cols, k) -> np.ndarray:
     if masked:
         si, log_x, cin = (np.where(pos, v, 0.0) for v in (si, log_x, cin))
     # Each row's coefficients sum to zero, so values count relative to
-    # column 0: for distant pairs all x are close and these differences are
-    # exact. Real arithmetic and a fixed-order column sum keep a pair's
-    # result independent of the batch it shares, padded columns included.
+    # column 0, the argument every geometry weights first: for distant pairs
+    # all x are close and these differences are exact. Real arithmetic and a
+    # fixed-order column sum keep a pair's result independent of the batch it
+    # shares, zero-weight padding included.
     d_cin, d_si, d_log = cin - cin[0], si - si[0], log_x - log_x[0]
     re = a_re * d_cin - a_im * d_si
     im = a_im * d_cin + a_re * d_si + b_im * d_log
@@ -303,16 +340,17 @@ def _pair_impedances(dipoles: list[Dipole], iu, ju, wavelength: float) -> np.nda
     present = np.bincount(code, minlength=len(kinds) ** 2) > 0
     cls = (np.cumsum(present) - 1)[code]
     s, t = np.divmod(np.flatnonzero(present), len(kinds))
-    k = 2.0 * np.pi / wavelength
-    table = _geometry_table(
-        kinds[t, 0] - kinds[s, 0], 0.5 * kinds[s, 1], 0.5 * kinds[t, 1], k
+    offsets, coefs = _geometry_table(
+        kinds[t, 0] - kinds[s, 0], 0.5 * kinds[s, 1], 0.5 * kinds[t, 1], wavelength
     )
+    k = 2.0 * np.pi / wavelength
     z = np.empty(iu.size, dtype=complex)
     for lo in range(0, iu.size, _PAIRS_PER_CALL):
         p = slice(lo, lo + _PAIRS_PER_CALL)
         c = cls[p]
         # A slice of one geometry broadcasts its column instead of gathering.
-        z[p] = _coupling(rho[p], table[:, c[:1]] if c.min() == c.max() else table[:, c], k)
+        c = c[:1] if c.min() == c.max() else c
+        z[p] = _coupling(rho[p], offsets[:, c], coefs[:, :, c], k)
     return z
 
 

@@ -9,6 +9,7 @@ from time import perf_counter
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import sici
 
 from saris.channel import LoadEvaluation, RisLoads, fold_esos
 from saris.dipoles import ETA0, ImpedanceSet, assemble_impedances
@@ -121,6 +122,19 @@ def pair_for_oracle(a, b):
     else:
         rho = np.hypot(a.position[0] - b.position[0], a.position[1] - b.position[1])
     return (rho, a.position[2], a.half_length), (b.position[2], b.half_length)
+
+
+def carter_half_wave_impedance(rho, wavelength):
+    """Impedance of two equal half-wave dipoles side by side at horizontal
+    separation rho, in Carter's closed form (Balanis, Antenna Theory, eq.
+    8-71); at rho = the wire radius it is the self impedance."""
+    k = 2.0 * np.pi / wavelength
+    length = 0.5 * wavelength
+    far = np.hypot(rho, length) + length
+    si, ci = sici(k * np.array([rho, far, rho**2 / far]))
+    return ETA0 / (4.0 * np.pi) * (
+        (2.0 * ci[0] - ci[1] - ci[2]) - 1j * (2.0 * si[0] - si[1] - si[2])
+    )
 
 
 def smse_bruteforce(h_total, w, sigma_n2):

@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -20,7 +21,7 @@ from saris.dipoles import (
 )
 from saris.scenario import ScenarioConfig, generate
 
-from _helpers import pair_for_oracle, quad_mutual_impedance
+from _helpers import carter_half_wave_impedance, pair_for_oracle, quad_mutual_impedance
 
 LAM = 0.06
 HALF_WAVE = LAM / 2
@@ -67,6 +68,42 @@ def test_staggered_unequal_lengths_match_frozen_oracle():
     a = dip(length=0.4 * LAM)
     b = dip(x=0.22 * LAM, z=0.31 * LAM, length=0.36 * LAM)
     assert_allclose(mutual_impedance(a, b, LAM), STAGGERED, rtol=1e-12)
+
+
+@pytest.mark.parametrize("spacing", [RADIUS / LAM, 0.01, 0.1, 0.25, 0.5, 1.0, 2.7, 7.3, 10.0])
+def test_side_by_side_half_waves_match_carter_closed_form(spacing):
+    # At the wire radius the pair is a self term.
+    b = dip() if spacing == RADIUS / LAM else dip(x=spacing * LAM)
+    expected = carter_half_wave_impedance(spacing * LAM, LAM)
+    assert_allclose(mutual_impedance(dip(), b, LAM), expected, rtol=1e-12)
+
+
+def test_half_wave_geometry_weights_three_arguments():
+    # Side by side at equal half-wave lengths, only k rho and k(R -+ L)
+    # carry weight, and only in the real coefficients of Cin + jSi.
+    offsets, coefs = saris.dipoles._geometry_table(
+        np.array([0.0]), np.array([LAM / 4]), np.array([LAM / 4]), LAM
+    )
+    assert offsets.tolist() == [[HALF_WAVE]]
+    a_re, a_im, b_im = coefs
+    assert a_re.shape == (3, 1)
+    assert np.all(a_re != 0)
+    assert not a_im.any() and not b_im.any()
+
+
+def test_desk_assembly_evaluates_three_sine_cosine_integrals_per_pair(monkeypatch):
+    arguments = []
+    sici = scipy.special.sici
+
+    def counting(x):
+        arguments.append(np.size(x))
+        return sici(x)
+
+    monkeypatch.setattr(scipy.special, "sici", counting)
+    config = ScenarioConfig()
+    dipoles = generate(config, 0)
+    assemble_impedances(dipoles, config.wavelength)
+    assert sum(arguments) == 3 * len(dipoles) * (len(dipoles) + 1) // 2
 
 
 def test_wavelength_scale_invariance():
@@ -310,10 +347,10 @@ def test_collinear_pair_in_a_slice_is_bitwise_pairwise(monkeypatch, size, shared
     columns = []
     coupling = saris.dipoles._coupling
 
-    def spy(rho, cols, k):
+    def spy(rho, offsets, coefs, k):
         if np.any(rho == 0):
-            columns.append(cols.shape[1])
-        return coupling(rho, cols, k)
+            columns.append(offsets.shape[1])
+        return coupling(rho, offsets, coefs, k)
 
     monkeypatch.setattr(saris.dipoles, "_PAIRS_PER_CALL", size)
     monkeypatch.setattr(saris.dipoles, "_coupling", spy)
