@@ -21,6 +21,10 @@ from saris.dipoles import ImpedanceSet
 
 COND_LIMIT = 1e12
 
+# Columns per block of `_one_norm`; its |a| temporaries stay within this many
+# columns of the matrix.
+_NORM_COLUMNS = 256
+
 _getrf, _gecon, _getrs, _laswp = get_lapack_funcs(
     ("getrf", "gecon", "getrs", "laswp"), dtype=np.complex128
 )
@@ -137,13 +141,25 @@ class FoldedChannel:
         return self.Z_SS.shape[0]
 
 
+def _one_norm(a: np.ndarray) -> float:
+    """max_j sum_i |a_ij|, as `np.linalg.norm(a, 1)` computes it, but over
+    blocks of columns, so no |a| copy of the whole matrix is made. A NaN in
+    any column makes the result NaN."""
+    sums = np.empty(a.shape[1])
+    for lo in range(0, a.shape[1], _NORM_COLUMNS):
+        cols = slice(lo, lo + _NORM_COLUMNS)
+        np.abs(a[:, cols]).sum(axis=0, out=sums[cols])
+    # ndarray.max propagates NaN wherever it sits, unlike the builtin max.
+    return sums.max()
+
+
 def _guarded_lu(a: np.ndarray, name: str, anorm: float | None = None):
     """LU factors (lu, piv) of a square matrix, rejecting near-singular blocks
     by a reciprocal condition estimate. A Fortran-ordered complex `a` is
     factored in place, so callers pass a temporary. `anorm` is the 1-norm of
     `a` when the caller already knows it."""
     if anorm is None:
-        anorm = np.linalg.norm(a, 1)
+        anorm = _one_norm(a)
     if not np.isfinite(anorm):
         raise SingularBlockError(name, np.inf)
     # An exactly singular factor (getrf info > 0) has rcond 0 and is reported

@@ -11,12 +11,16 @@ side-by-side, staggered, unequal and collinear ones, tips touching included.
 The form's coefficients depend only on a pair's axial geometry (the height
 offset and the two lengths). Assembly tabulates them once for the geometries
 present, with its trigonometry in exact phase so that coefficients which
-vanish come out as zeros, and each pair evaluates just the integrals that
-its geometry weights: three for half-wave dipoles side by side, the case of
-every generated pair, and at most eighteen. Pairs are evaluated in
-fixed-size slices; a slice whose pairs share one geometry, as every slice of
-a generated deployment does, broadcasts that geometry's table column instead
-of gathering one per pair.
+vanish come out as zeros: half-wave dipoles side by side, the case of every
+generated pair, weight three integrals, and no geometry weights more than
+eighteen. Assembly then streams the upper triangle of the port matrix in
+fixed-size chunks of pairs, in row-major order, and writes each chunk's
+values straight into the matrix; no array spans all pairs. A cheap first
+pass over the chunks checks the wire separations before any kernel work.
+Each chunk evaluates only the integrals that some pair of it weights, and a
+chunk whose pairs share one geometry, as every chunk of a generated
+deployment does, broadcasts that geometry's table column instead of
+gathering one per pair.
 """
 
 from __future__ import annotations
@@ -29,12 +33,18 @@ import numpy as np
 # Free-space wave impedance in ohms.
 ETA0 = 376.730313668
 
-# Pairs per kernel call in assembly; it bounds the per-slice working set to a
-# few MB. A process's first clutter assembly (338 253 pairs, one core, 12
-# alternating runs) took a median 0.218 s at 4096 and 0.204 s at 8192, with
-# 8192 faster in only 7 runs, inside the spread; it faulted in ~7.7k pages
-# against ~8.1k.
+# Pairs per kernel call in assembly. Assembly walks the upper triangle in
+# chunks of this many pairs and writes each into Z, so its working set beyond
+# Z is a few MB. A process's first clutter assembly (338 253 pairs, one core,
+# 12 alternating runs) took a median 0.218 s at 4096 and 0.204 s at 8192,
+# with 8192 faster in only 7 runs, inside the spread; it faulted in ~7.7k
+# pages against ~8.1k.
 _PAIRS_PER_CALL = 4096
+
+# Rows per block when assembly mirrors Z's upper triangle into its lower one
+# and when `ImpedanceSet.validate` compares Z with its transpose; their
+# temporaries stay within this many rows of Z.
+_ROWS_PER_BLOCK = 64
 
 # Geometries per block of the geometry table. The temporaries of a block this
 # size stay small enough that a process's first assembly does not fault them
@@ -272,86 +282,120 @@ def _coupling(rho, offsets, coefs, k) -> np.ndarray:
     return z_re + 1j * z_im
 
 
-def _pair_separations(dipoles: list[Dipole], iu, ju) -> np.ndarray:
-    """Horizontal separations of the pairs (dipoles[iu], dipoles[ju]), and the
-    wire radius for a self pair (iu == ju); raises GeometryError if two
-    distinct dipoles overlap or their wire bodies intersect (collinear with
-    overlapping axial extents)."""
-    pos = np.array([d.position for d in dipoles])
-    radii = np.array([d.wire_radius for d in dipoles])
-    half = np.array([d.half_length for d in dipoles])
-    rho = np.hypot(pos[iu, 0] - pos[ju, 0], pos[iu, 1] - pos[ju, 1])
-    # Either test fails only where rho < r_i + r_j <= 2 max r, so only pairs
-    # within 2 max r are checked; p indexes them in pair order.
-    near = np.flatnonzero(rho < 2.0 * radii.max())
-    same = iu[near] == ju[near]
-    rho[near[same]] = radii[iu[near[same]]]
-    p = near[~same]
-    ip, jp = iu[p], ju[p]
-    rsum = radii[ip] + radii[jp]
-    close = np.sqrt(rho[p] ** 2 + (pos[ip, 2] - pos[jp, 2]) ** 2) < rsum
+def _upper_triangle(k: int):
+    """Index arrays (i, j) of the pairs i <= j of k elements, in the row-major
+    order of `np.triu_indices(k)` and in chunks of _PAIRS_PER_CALL pairs; each
+    chunk's rows come from the row offsets, so no array spans the triangle."""
+    rows = np.arange(k + 1)
+    # Pair index of (i, i): the rows before i hold k - r pairs each.
+    start = rows * k - rows * (rows - 1) // 2
+    for lo in range(0, start[k], _PAIRS_PER_CALL):
+        p = np.arange(lo, min(lo + _PAIRS_PER_CALL, start[k]))
+        first, last = np.searchsorted(start, (p[0], p[-1]), side="right") - 1
+        counts = np.diff(np.clip(start[first:last + 2], p[0], p[-1] + 1))
+        i = np.repeat(np.arange(first, last + 1), counts)
+        yield i, p - start[i] + i
+
+
+def _check_separations(x, y, z, radius, half, chunks):
+    """Raise GeometryError if two distinct dipoles of a pair in `chunks`
+    overlap or their wire bodies intersect (collinear with overlapping axial
+    extents). Overlaps are checked over all pairs before wire bodies, and each
+    error names the first offending pair in chunk order."""
+    # Either test fails only where rho < r_i + r_j <= 2 max r, so the pass
+    # over the chunks keeps only the pairs within 4 max r: far enough out that
+    # its rounded squared distance drops no pair the tests could reject.
+    reach = (4.0 * radius.max()) ** 2
+    ip, jp = [], []
+    for i, j in chunks:
+        dx, dy = x[i] - x[j], y[i] - y[j]
+        q = np.flatnonzero(dx * dx + dy * dy < reach)
+        q = q[i[q] != j[q]]
+        ip.append(i[q])
+        jp.append(j[q])
+    ip, jp = np.concatenate(ip), np.concatenate(jp)
+    rho = np.hypot(x[ip] - x[jp], y[ip] - y[jp])
+    rsum = radius[ip] + radius[jp]
+    close = np.sqrt(rho**2 + (z[ip] - z[jp]) ** 2) < rsum
     if np.any(close):
         q = int(np.flatnonzero(close)[0])
         raise GeometryError(
             f"distinct dipoles overlap: elements {int(ip[q])} and {int(jp[q])} "
             "have center distance below the sum of wire radii"
         )
-    zhi = pos[:, 2] + half
-    zlo = pos[:, 2] - half
-    body = (rho[p] < rsum) & (
-        np.minimum(zhi[ip], zhi[jp]) - np.maximum(zlo[ip], zlo[jp]) > 0
-    )
+    zhi = z + half
+    zlo = z - half
+    body = (rho < rsum) & (np.minimum(zhi[ip], zhi[jp]) - np.maximum(zlo[ip], zlo[jp]) > 0)
     if np.any(body):
         q = int(np.flatnonzero(body)[0])
         raise GeometryError(
             f"wire bodies intersect: elements {int(ip[q])} and {int(jp[q])} are "
             "collinear with overlapping axial extents"
         )
-    return rho
 
 
-def _pair_impedances(dipoles: list[Dipole], iu, ju, wavelength: float) -> np.ndarray:
-    """Impedances in ohms of the pairs (dipoles[iu], dipoles[ju]); a pair with
-    iu == ju is that dipole's self term, with the field evaluated one wire
-    radius off the axis.
+def _pair_impedances(dipoles: list[Dipole], wavelength: float, chunks):
+    """Impedances in ohms of pairs of `dipoles`, yielded as (i, j, z) for each
+    chunk (i, j) of index arrays that `chunks()` yields; a pair with i == j is
+    that dipole's self term, with the field evaluated one wire radius off the
+    axis.
 
-    Of each pair, the dipole with the larger (length, z, radius) key is the
-    source, so both orders of a pair give the same result bit for bit. The
-    geometry table is built once for the call; pairs go through the kernel in
-    fixed-size slices, and a pair's result does not depend on the slice it
-    shares.
+    `chunks()` is walked twice: first to check every pair's separation, before
+    any kernel work, then to evaluate. The per-dipole tables and the geometry
+    table, one column per pair of (z, length) kinds, are built once. Of each
+    pair, the dipole with the larger (length, z) is the source, so both orders
+    of a pair give the same result bit for bit, and a pair's result does not
+    depend on the chunk it shares.
     """
     if not wavelength > 0:
         raise ValueError(f"wavelength must be positive, got {wavelength}")
-    iu, ju = np.asarray(iu), np.asarray(ju)
+    pos = np.array([d.position for d in dipoles])
+    x, y, zc = pos.T.copy()
     length = np.array([d.length for d in dipoles])
-    zc = np.array([d.position[2] for d in dipoles])
     radius = np.array([d.wire_radius for d in dipoles])
-    rho = _pair_separations(dipoles, iu, ju)
-    rank = np.empty(len(dipoles), dtype=int)
-    rank[np.lexsort((radius, zc, length))] = np.arange(len(dipoles))
-    first = rank[iu] >= rank[ju]
-    src = np.where(first, iu, ju)
-    tst = np.where(first, ju, iu)
+    _check_separations(x, y, zc, radius, 0.5 * length, chunks())
+
     # A pair's axial geometry is fixed by the (z, length) kinds of its source
-    # and test; its class numbers the geometries present in ascending code.
+    # and test. geometry[a, b] numbers the geometry of kinds a and b in
+    # ascending (source, test) order; it is symmetric, as the source is the
+    # kind with the larger (length, z) either way.
     kinds, kind = np.unique(np.stack([zc, length], axis=1), axis=0, return_inverse=True)
-    code = kind[src] * len(kinds) + kind[tst]
-    present = np.bincount(code, minlength=len(kinds) ** 2) > 0
-    cls = (np.cumsum(present) - 1)[code]
-    s, t = np.divmod(np.flatnonzero(present), len(kinds))
+    rank = np.empty(len(kinds), dtype=int)
+    rank[np.lexsort((kinds[:, 0], kinds[:, 1]))] = np.arange(len(kinds))
+    s, t = np.nonzero(rank[:, None] >= rank[None, :])
+    geometry = np.empty((len(kinds), len(kinds)), dtype=int)
+    geometry[s, t] = geometry[t, s] = np.arange(s.size)
     offsets, coefs = _geometry_table(
         kinds[t, 0] - kinds[s, 0], 0.5 * kinds[s, 1], 0.5 * kinds[t, 1], wavelength
     )
+    # Each geometry's weighted offsets lead its column, and whether it weights
+    # k rho; a chunk evaluates only the arguments some pair of it weights.
+    n = len(offsets)
+    width = (coefs[:, :2 * n] != 0).reshape(3, 2, n, -1).any(axis=(0, 1)).sum(axis=0)
+    weights_rho = coefs[:, 2 * n:].any(axis=(0, 1))
+    rows = np.arange(len(coefs[0]))
     k = 2.0 * np.pi / wavelength
-    z = np.empty(iu.size, dtype=complex)
-    for lo in range(0, iu.size, _PAIRS_PER_CALL):
-        p = slice(lo, lo + _PAIRS_PER_CALL)
-        c = cls[p]
-        # A slice of one geometry broadcasts its column instead of gathering.
+    for i, j in chunks():
+        rho = np.hypot(x[i] - x[j], y[i] - y[j])
+        own = np.flatnonzero(i == j)
+        rho[own] = radius[i[own]]
+        # A chunk of one geometry broadcasts its column instead of gathering.
+        c = geometry[kind[i], kind[j]] if len(kinds) > 1 else geometry[0]
         c = c[:1] if c.min() == c.max() else c
-        z[p] = _coupling(rho[p], offsets[:, c], coefs[:, :, c], k)
-    return z
+        m = max(width[c].max(), 1)
+        used = np.concatenate((rows[:m], rows[n:n + m], rows[2 * n:2 * n + weights_rho[c].any()]))
+        yield i, j, _coupling(rho, offsets[:m, c], coefs[:, used[:, None], c], k)
+
+
+def _mirror_upper(z: np.ndarray):
+    """Copy the strict upper triangle of the square z into its lower one, in
+    blocks of _ROWS_PER_BLOCK rows."""
+    for lo in range(0, len(z), _ROWS_PER_BLOCK):
+        rows = slice(lo, lo + _ROWS_PER_BLOCK)
+        z[rows, :lo] = z[:lo, rows].T
+        block = z[rows, rows]
+        lower = np.tri(len(block), k=-1, dtype=bool)
+        block[lower] = block.T[lower]
 
 
 def mutual_impedance(a: Dipole, b: Dipole, wavelength: float) -> complex:
@@ -361,7 +405,9 @@ def mutual_impedance(a: Dipole, b: Dipole, wavelength: float) -> complex:
     the field evaluated one wire radius off the axis. The result is exactly
     symmetric in its arguments.
     """
-    return complex(_pair_impedances([a, b], [0], [0 if a.same_geometry(b) else 1], wavelength)[0])
+    pair = (np.array([0]), np.array([0 if a.same_geometry(b) else 1]))
+    ((_, _, z),) = _pair_impedances([a, b], wavelength, lambda: [pair])
+    return complex(z[0])
 
 
 def _block(rows: str, cols: str) -> property:
@@ -453,9 +499,12 @@ class ImpedanceSet:
             got = np.shape(getattr(self, name))
             if got != (count,):
                 raise ValueError(f"{name} has shape {got}, expected ({count},)")
-        # An exactly symmetric Z, as assembly builds, forms no difference.
-        if not np.array_equal(self.Z, self.Z.T):
-            asym = np.linalg.norm(self.Z - self.Z.T) / np.linalg.norm(self.Z)
+        # An exactly symmetric Z, as assembly builds, forms no difference;
+        # comparing in row blocks keeps the temporaries to a few rows of Z.
+        blocks = [slice(lo, lo + _ROWS_PER_BLOCK) for lo in range(0, shape[0], _ROWS_PER_BLOCK)]
+        if not all(np.array_equal(self.Z[b], self.Z[:, b].T) for b in blocks):
+            diff = [np.linalg.norm(self.Z[b] - self.Z[:, b].T) for b in blocks]
+            asym = np.linalg.norm(diff) / np.linalg.norm(self.Z)
             if asym >= tol:
                 raise ValueError(f"impedance matrix asymmetry {asym:.3e} exceeds {tol:.1e}")
 
@@ -492,8 +541,9 @@ def assemble_impedances(
     Dipoles may arrive in any order; they are grouped by role with ordering
     preserved inside each role. The K x K port matrix is filled once and
     becomes `ImpedanceSet.Z` as it is, with no block copies. Entries on and
-    above the diagonal come from the pair routine that `mutual_impedance`
-    uses, so they equal its values. Each termination (z_g, z_l, z_us) is a
+    above the diagonal are written chunk by chunk from the pair routine that
+    `mutual_impedance` uses, so they equal its values, and are then mirrored
+    below it; beyond Z, assembly holds a few MB. Each termination (z_g, z_l, z_us) is a
     scalar, one value per port, or a diagonal matrix, and is kept as its
     diagonal.
     """
@@ -515,9 +565,11 @@ def assemble_impedances(
     n = len(groups[Role.RIS_CELL])
     kk = len(ordered)
 
-    iu, ju = np.triu_indices(kk)
     full = np.empty((kk, kk), dtype=complex)
-    full[iu, ju] = full[ju, iu] = _pair_impedances(ordered, iu, ju, wavelength)
+    flat = full.reshape(-1)
+    for i, j, z in _pair_impedances(ordered, wavelength, lambda: _upper_triangle(kk)):
+        flat[i * kk + j] = z
+    _mirror_upper(full)
 
     zset = ImpedanceSet(
         Z=full,
