@@ -61,8 +61,10 @@ class RisLoads:
             raise ValueError(f"empty reactance interval [{lo}, {hi}]")
         # NaN and +-inf in x reach its min or max, so one pass serves the
         # finite check and the range check; comparisons with NaN are false,
-        # so the range check alone would pass it.
-        x_min, x_max = (x.min(), x.max()) if x.size else (0.0, 0.0)
+        # so the range check alone would pass it. The ufunc reductions give
+        # what x.min() and x.max() give, NaN included, without their method
+        # wrappers.
+        x_min, x_max = (np.minimum.reduce(x), np.maximum.reduce(x)) if x.size else (0.0, 0.0)
         if not (math.isfinite(self.r0) and math.isfinite(x_min) and math.isfinite(x_max)):
             raise ValueError("load resistance and reactances must be finite")
         if self.r0 < 0:
@@ -160,13 +162,15 @@ def _guarded_lu(a: np.ndarray, name: str, anorm: float | None = None):
     `a` when the caller already knows it."""
     if anorm is None:
         anorm = _one_norm(a)
-    if not np.isfinite(anorm):
+    if not math.isfinite(anorm):
         raise SingularBlockError(name, np.inf)
     # An exactly singular factor (getrf info > 0) has rcond 0 and is reported
-    # below as a typed error.
-    lu, piv, _ = _getrf(a, overwrite_a=True)
-    rcond, info = _gecon(lu, anorm, norm="1")
-    if info != 0 or rcond <= 0 or not np.isfinite(rcond) or 1.0 / rcond > COND_LIMIT:
+    # below as a typed error. getrf(a, overwrite_a) and gecon(lu, anorm, norm)
+    # are called positionally: at N = 16 keyword parsing adds 0.5-1 us to
+    # each call.
+    lu, piv, _ = _getrf(a, 1)
+    rcond, info = _gecon(lu, anorm, "1")
+    if info != 0 or rcond <= 0 or not math.isfinite(rcond) or 1.0 / rcond > COND_LIMIT:
         raise SingularBlockError(name, np.inf if rcond <= 0 else 1.0 / rcond)
     return lu, piv
 
@@ -175,8 +179,8 @@ def _lu_solve(factors, b: np.ndarray, trans: int = 0) -> np.ndarray:
     """a^-1 b, a^-T b or a^-H b for trans 0, 1, 2 from _guarded_lu factors;
     LAPACK getrs directly skips the per-call checks of scipy's lu_solve."""
     lu, piv = factors
-    x, _ = _getrs(lu, piv, b, trans=trans)
-    return x
+    # getrs(lu, piv, b, trans), positionally like every hot LAPACK call here.
+    return _getrs(lu, piv, b, trans)[0]
 
 
 def fold_esos(z: ImpedanceSet) -> FoldedChannel:
@@ -241,18 +245,20 @@ class LoadEvaluation:
     """The channel h = H_d - v a_mat at one load setting, from one guarded LU
     of S = Z_SS + Z_SOS + Z_RIS, with v = Z_RL Z_ROS and a_mat = S^-1 B,
     B = Z_SOT Z_TG (both from the folded channel). Other uses of S^-1 go
-    through solve, so the inverse is never formed. Only the diagonal of S
-    changes with the loads, so its 1-norm for the condition estimate is
-    max_j (A_off[j] + |S_jj|) and needs no pass over the whole matrix."""
+    through solve and inverse_norm, so the inverse is never formed. Only the
+    diagonal of S changes with the loads, so its 1-norm for the condition
+    estimate is max_j (A_off[j] + |S_jj|) and needs no pass over the whole
+    matrix."""
 
     def __init__(self, f: FoldedChannel, loads: RisLoads):
-        if loads.n != f.n_ris:
-            raise ValueError(f"loads have {loads.n} entries, channel expects {f.n_ris}")
+        n = loads.n
+        if n != f.n_ris:
+            raise ValueError(f"loads have {n} entries, channel expects {f.n_ris}")
         self.loads = loads
         self._lu = None
-        if loads.n:
+        if n:
             s = scatter_matrix(f, loads)
-            anorm = (f.A_off + np.abs(s.diagonal())).max()
+            anorm = np.maximum.reduce(f.A_off + np.abs(s.diagonal()))
             self._lu = _guarded_lu(s, "Z_SS + Z_SOS + Z_RIS", anorm)
         self.v = f.v
         self.a_mat = self.solve(f.B)
@@ -281,6 +287,42 @@ class LoadEvaluation:
         y = _laswp(b, piv)
         y = _trsv(lu, y, 1, 0, 1, 0, 1, 1)
         return _trsv(lu, y, 1, 0, 0, 0, 0, 1)
+
+    def inverse_norm(self, v0=None, tol: float = 1e-6, max_iter: int = 200):
+        """(||S^-1||, vector) by power iteration on S^-H S^-1, warm-started
+        from v0. Each round runs the laswp/trsv sequence of solve(v, 0) and
+        solve(av, 2) on the factors directly, so it gives bit for bit what the
+        generic `saris.optimize._power_norm(self.solve, n, tol, max_iter, v0)`
+        gives, without a callback and its dispatch per solve."""
+        if self._lu is None:
+            return 0.0, np.zeros(0, dtype=complex)
+        lu, piv = self._lu
+        n = piv.size
+        if v0 is None or not np.logical_or.reduce(v0):
+            v = np.ones(n, dtype=complex) / np.sqrt(n)
+        else:
+            v = v0 / math.sqrt(np.vdot(v0, v0).real)
+        sigma = 0.0
+        for _ in range(max_iter):
+            av = _laswp(v, piv)
+            av = _trsv(lu, av, 1, 0, 1, 0, 1, 1)
+            av = _trsv(lu, av, 1, 0, 0, 0, 0, 1)
+            sigma_new = math.sqrt(np.vdot(av, av).real)
+            if sigma_new == 0.0:
+                return 0.0, v
+            v = _trsv(lu, av, 1, 0, 0, 2, 0)
+            v = _trsv(lu, v, 1, 0, 1, 2, 1, 1)
+            v = _laswp(v, piv, 0, n - 1, 0, -1, 1)
+            v_norm = math.sqrt(np.vdot(v, v).real)
+            if v_norm == 0.0:
+                return sigma_new, av / sigma_new
+            # The rounds made v, so it is normalized in place.
+            v /= v_norm
+            if abs(sigma_new - sigma) <= tol * sigma_new:
+                sigma = sigma_new
+                break
+            sigma = sigma_new
+        return sigma, v
 
 
 def end_to_end_channel(f: FoldedChannel, loads: RisLoads) -> np.ndarray:

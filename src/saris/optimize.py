@@ -28,6 +28,12 @@ from saris.dipoles import ImpedanceSet
 _herk, _trsv = get_blas_funcs(("herk", "trsv"), dtype=np.complex128)
 _gesv, _potrf = get_lapack_funcs(("gesv", "potrf"), dtype=np.complex128)
 
+# The ufunc reductions behind ndarray.sum, .max, .min, .all and .any: they
+# give the same results, NaN propagation included, without the method
+# wrappers that the hot paths would otherwise pay for on every call.
+_sum, _max, _min = np.add.reduce, np.maximum.reduce, np.minimum.reduce
+_all, _any = np.logical_and.reduce, np.logical_or.reduce
+
 
 class DegenerateChannelError(ValueError):
     """The channel matrix is identically zero."""
@@ -128,21 +134,35 @@ class DeltaStep:
         return stacks
 
 
-def smse_and_rate(h: np.ndarray, W: np.ndarray, sigma_n2: float) -> tuple[float, float]:
-    """(smse, sum_rate) of channel h and precoder W from one product h W."""
+def _smse_terms(h: np.ndarray, W: np.ndarray, sigma_n2: float):
+    """(smse, p, received) of channel h and precoder W from one product
+    e = h W: the sum MSE, p = |e|^2 and each user's received power, the
+    last two being what `_sum_rate` needs."""
     e = h @ W
     p = np.abs(e)
     p *= p
-    received = p.sum(axis=1)
-    err = received.sum() - 2.0 * e.trace().real + h.shape[0] * (1.0 + sigma_n2)
+    received = _sum(p, 1)
+    err = _sum(received) - 2.0 * e.trace().real + h.shape[0] * (1.0 + sigma_n2)
+    return float(err), p, received
+
+
+def _sum_rate(p: np.ndarray, received: np.ndarray, sigma_n2: float) -> float:
+    """Sum rate from the p and received of `_smse_terms`."""
     desired = p.diagonal()
     sinr = desired / (received - desired + sigma_n2)
-    return float(err), float(np.log2(1.0 + sinr).sum())
+    return float(_sum(np.log2(1.0 + sinr)))
 
 
-def _precoder_solve(H: np.ndarray, power: float, sigma_n2: float):
+def smse_and_rate(h: np.ndarray, W: np.ndarray, sigma_n2: float) -> tuple[float, float]:
+    """(smse, sum_rate) of channel h and precoder W from one product h W."""
+    err, p, received = _smse_terms(h, W, sigma_n2)
+    return err, _sum_rate(p, received, sigma_n2)
+
+
+def _precoder_solve(H: np.ndarray, power: float, sigma_n2: float, with_residual: bool = True):
     """(optimal precoder, stationarity residual of its normal equations
-    relative to the channel norm) from one LAPACK gesv."""
+    relative to the channel norm) from one LAPACK gesv; the residual is None
+    when with_residual is false."""
     l_rx, m_tx = H.shape
     h_norm = _vec_norm(H)
     if h_norm == 0.0:
@@ -153,7 +173,7 @@ def _precoder_solve(H: np.ndarray, power: float, sigma_n2: float):
     _, _, w_bar, info = _gesv(a, h_h)
     if info > 0:
         raise np.linalg.LinAlgError("precoder system is singular")
-    residual = _vec_norm(a @ w_bar - h_h) / h_norm
+    residual = _vec_norm(a @ w_bar - h_h) / h_norm if with_residual else None
     # gesv returned its own copy of the right-hand side, so w_bar is scaled
     # in place.
     w_norm = _vec_norm(w_bar)
@@ -164,7 +184,7 @@ def _precoder_solve(H: np.ndarray, power: float, sigma_n2: float):
 
 def optimal_precoder(H: np.ndarray, power: float, sigma_n2: float) -> np.ndarray:
     """Regularized closed-form precoder scaled to the full power budget."""
-    return _precoder_solve(H, power, sigma_n2)[0]
+    return _precoder_solve(H, power, sigma_n2, False)[0]
 
 
 def _vec_norm(v: np.ndarray) -> float:
@@ -176,7 +196,11 @@ def _vec_norm(v: np.ndarray) -> float:
 def _power_norm(apply, n: int, tol: float = 1e-6, max_iter: int = 200, v0=None):
     """Spectral norm of an n x n operator by power iteration; apply(v, trans)
     returns A v for trans=0 and A^H v for trans=2. Returns (norm, vector) so
-    callers can warm-start the next estimate."""
+    callers can warm-start the next estimate.
+
+    The optimizer takes ||S^-1|| from `LoadEvaluation.inverse_norm`, which
+    runs these rounds on the LU factors without the callback; this generic
+    form is the reference it must match bit for bit."""
     if n == 0:
         return 0.0, np.zeros(0, dtype=complex)
     if v0 is None or not v0.any():
@@ -234,18 +258,22 @@ def solve_delta(ds: DeltaStep, W: np.ndarray, sigma_n2: float, g_norm: float) ->
     # expands to T g with g = vec(I - conj(h W)), row-major.
     u_t = ds.u.T
     t = (u_t[:, :, None] * (ds.a_mat @ W)[:, None, :]).reshape(n, l_rx * l_rx)
-    g = -(ds.h @ W).conj()
-    g.reshape(-1)[:: l_rx + 1] += 1.0
-    b = t @ g.reshape(-1)
+    g = -(ds.h @ W).conj().reshape(-1)
+    g[:: l_rx + 1] += 1.0
+    b = t @ g
     # The normal matrix sigma^2 I + T T^H: one herk at beta = 0 into the lower
     # triangle of its own Fortran-ordered output, then the diagonal view.
-    gram = _herk(1.0, t, lower=1)
-    gram.reshape(-1, order="F")[:: n + 1] += sigma_n2
+    # herk(alpha, a, beta, c, trans, lower) and potrf(a, lower, clean,
+    # overwrite_a) are called positionally: at N = 16 keyword parsing adds
+    # 0.6-0.8 us to each call.
+    gram = _herk(1.0, t, 0.0, None, 0, 1)
+    gram_diagonal = gram.reshape(-1, order="F")[:: n + 1]
+    gram_diagonal += sigma_n2
     # A non-finite T or sigma^2 shows on the diagonal, which bounds every
     # other entry of the normal matrix.
-    if not (np.isfinite(gram.diagonal()).all() and np.isfinite(b).all()):
+    if not (_all(np.isfinite(gram_diagonal)) and _all(np.isfinite(b))):
         raise ValueError("load system has non-finite entries")
-    chol, info = _potrf(gram, lower=1, clean=0, overwrite_a=1)
+    chol, info = _potrf(gram, 1, 0, 1)
     if info > 0:
         raise np.linalg.LinAlgError(f"load system is not positive definite (minor {info})")
     # gram = L L^H: solve L y = b, then L^H x = y, in place in b. trsv(a, x,
@@ -253,7 +281,7 @@ def solve_delta(ds: DeltaStep, W: np.ndarray, sigma_n2: float, g_norm: float) ->
     # not through potrs, which packs the whole factor for trsm on every call.
     direction = _trsv(chol, b, 1, 0, 1, 0, 0, 1)
     direction = _trsv(chol, direction, 1, 0, 1, 2, 0, 1)
-    peak = np.abs(direction).max()
+    peak = _max(np.abs(direction))
     if peak == 0.0:
         return np.zeros(n, dtype=complex)
     direction /= peak * g_norm
@@ -283,65 +311,70 @@ def saris_optimize(f: FoldedChannel, config: OptimizerConfig) -> OptimizerState:
     trace entry.
     """
     n = f.n_ris
+    power, sigma_n2, r0 = config.power, config.sigma_n2, config.r0
     x = np.clip(config.initial_reactances(n), *config.q_interval)
-    loads = RisLoads(config.r0, x, config.q_interval)
+    loads = RisLoads(r0, x, config.q_interval)
     ev = LoadEvaluation(f, loads)
-    g_norm, g_vec = _power_norm(ev.solve, n)
-    w, w_residual = _precoder_solve(ev.h, config.power, config.sigma_n2)
+    g_norm, g_vec = ev.inverse_norm()
+    w, w_residual = _precoder_solve(ev.h, power, sigma_n2)
 
     state = OptimizerState(W=w, loads=loads, evaluation=ev, g_norm=g_norm)
-    smse_w, rate_w = smse_and_rate(ev.h, w, config.sigma_n2)
+    # The SMSE of state.W on the current channel, with the |h W|^2 terms that
+    # give its rate. The comparisons need only the SMSE, so a rate is taken
+    # once per trace point, from the pair that point records.
+    smse_w, p_w, received_w = _smse_terms(ev.h, w, sigma_n2)
     lo, hi = config.q_interval
 
     def record_w_diagnostics():
         # w_residual belongs to the solve that produced state.W.
         state.w_residual_trace.append(w_residual)
-        power_err = abs(np.vdot(state.W, state.W).real - config.power) / config.power
+        power_err = abs(np.vdot(state.W, state.W).real - power) / power
         state.w_power_error_trace.append(power_err)
 
     def record_point():
         state.smse_trace.append(smse_w)
-        state.rate_trace.append(rate_w)
+        state.rate_trace.append(_sum_rate(p_w, received_w, sigma_n2))
         # RisLoads gives every cell the one resistance r0, so comparing it
         # covers the real part of the whole load diagonal.
         x = state.loads.x
-        ok = state.loads.r0 == config.r0 and (not x.size or (x.min() >= lo and x.max() <= hi))
+        ok = state.loads.r0 == r0 and (not x.size or (_min(x) >= lo and _max(x) <= hi))
         state.feasible_trace.append(bool(ok))
 
     record_point()
     for i in range(1, config.max_iter + 1):
         state.iteration = i
         ev = state.evaluation
-        w_new, residual = _precoder_solve(ev.h, config.power, config.sigma_n2)
-        smse_new, rate_new = smse_and_rate(ev.h, w_new, config.sigma_n2)
-        # Otherwise smse_w and rate_w still score this channel and state.W.
-        if smse_new <= smse_w:
+        w_new, residual = _precoder_solve(ev.h, power, sigma_n2)
+        scored = _smse_terms(ev.h, w_new, sigma_n2)
+        # Otherwise smse_w, p_w and received_w still score this channel and
+        # state.W.
+        if scored[0] <= smse_w:
             state.W, w_residual = w_new, residual
-            smse_w, rate_w = smse_new, rate_new
+            smse_w, p_w, received_w = scored
         w = state.W
         record_w_diagnostics()
 
-        step = solve_delta(build_delta_system(f, state), w, config.sigma_n2, g_norm)
+        step = solve_delta(build_delta_system(f, state), w, sigma_n2, g_norm)
         cand = None
         halvings = 0
-        while step.any():
+        while _any(step):
             x_cand = np.minimum(np.maximum(state.loads.x - step.imag, lo), hi)
-            trial = LoadEvaluation(f, RisLoads(config.r0, x_cand, config.q_interval))
-            smse_cand, rate_cand = smse_and_rate(trial.h, w, config.sigma_n2)
-            if smse_cand <= smse_w:
+            trial = LoadEvaluation(f, RisLoads(r0, x_cand, config.q_interval))
+            scored = _smse_terms(trial.h, w, sigma_n2)
+            if scored[0] <= smse_w:
                 cand = trial
-                smse_w, rate_w = smse_cand, rate_cand
+                smse_w, p_w, received_w = scored
                 break
             if halvings == _MAX_HALVINGS:
                 # Even a vanishing step along this direction does not help.
                 break
             step = step / 2.0
             halvings += 1
-        state.guard_trace.append(float(np.abs(step).max(initial=0.0) * g_norm))
+        state.guard_trace.append(float(_max(np.abs(step), initial=0.0) * g_norm))
         state.halving_trace.append(halvings)
 
         if cand is not None:
-            g_norm, g_vec = _power_norm(cand.solve, n, v0=g_vec)
+            g_norm, g_vec = cand.inverse_norm(g_vec)
             state.loads = cand.loads
             state.evaluation = cand
             state.g_norm = g_norm
@@ -351,9 +384,9 @@ def saris_optimize(f: FoldedChannel, config: OptimizerConfig) -> OptimizerState:
             break
 
     ev = state.evaluation
-    state.W, w_residual = _precoder_solve(ev.h, config.power, config.sigma_n2)
+    state.W, w_residual = _precoder_solve(ev.h, power, sigma_n2)
     record_w_diagnostics()
-    state.final_smse, state.final_sum_rate = smse_and_rate(ev.h, state.W, config.sigma_n2)
+    state.final_smse, state.final_sum_rate = smse_and_rate(ev.h, state.W, sigma_n2)
     return state
 
 

@@ -170,7 +170,7 @@ def generate(config: ScenarioConfig, realization_index: int) -> list[Dipole]:
     placed = len(terminals) + len(ris)
     occupied = np.empty((2, placed + config.n_eso))
     occupied[:, :placed] = np.transpose(terminals + ris)
-    eso: list[tuple[float, float]] = []
+    first_eso = placed
     for c in range(config.N_c):
         for attempt in range(_CLUSTER_RETRIES + 1):
             theta = rng.uniform(theta_lo, theta_hi)
@@ -186,31 +186,93 @@ def generate(config: ScenarioConfig, realization_index: int) -> list[Dipole]:
                 f"could not place cluster {c} clear of the terminals "
                 f"after {_CLUSTER_RETRIES} redraws"
             )
-        for m in range(config.N_O):
-            for attempt in range(_MEMBER_RETRIES + 1):
-                ang = rng.uniform(0.0, 2 * np.pi)
-                rad = config.r * np.sqrt(rng.uniform())
-                p = (center[0] + rad * np.cos(ang), center[1] + rad * np.sin(ang))
-                x, y = occupied[:, :placed]
-                if np.min(np.hypot(x - p[0], y - p[1])) >= min_sep:
-                    break
-            else:
-                raise GeometryError(
-                    f"could not place member {m} of cluster {c} with "
-                    f"{min_sep:.2e} m separation after {_MEMBER_RETRIES} redraws"
-                )
-            eso.append(p)
-            occupied[:, placed] = p
-            placed += 1
+        placed = _place_members(rng, config, c, center, min_sep, occupied, placed)
 
     dipoles = [
         Dipole((x, y, 0.0), length, radius, Role.TRANSMITTER)
         for x, y in terminals[: config.M]
     ]
     dipoles += [Dipole((x, y, 0.0), length, radius, Role.RECEIVER) for x, y in config.p_UE]
-    dipoles += [Dipole((x, y, 0.0), length, radius, Role.ESO) for x, y in eso]
+    dipoles += [
+        Dipole((x, y, 0.0), length, radius, Role.ESO)
+        for x, y in occupied[:, first_eso:].T.tolist()
+    ]
     dipoles += [Dipole((x, y, 0.0), length, radius, Role.RIS_CELL) for x, y in ris]
     return dipoles
+
+
+def _place_members(rng, config, c, center, min_sep, occupied, placed) -> int:
+    """Place the N_O members of cluster `c` into occupied[:, placed:] and
+    return the new count of placed dipoles.
+
+    Each member is an area-uniform (angle, radius) draw in the disk of radius
+    r around `center`, redrawn while it sits closer than `min_sep` to any
+    placed dipole. Drawn one pair at a time, the members would take at least
+    as many pairs as are still missing, so the pairs are drawn that many at a
+    time: each pair meets the fate it would meet alone, from the same random
+    stream, and the positions are bit for bit the same. A batch is tested
+    against the dipoles placed before it in one distance table, and against
+    its own earlier pairs in another.
+    """
+    members = 0
+    redraws = 0  # consecutive rejected pairs of the member being placed
+    while members < config.N_O:
+        need = config.N_O - members
+        # rng.uniform(0, 2 pi) and rng.uniform() of each pair, in stream order.
+        u_ang, u_rad = rng.random(2 * need).reshape(need, 2).T
+        ang = 2 * np.pi * u_ang
+        rad = config.r * np.sqrt(u_rad)
+        px = center[0] + rad * np.cos(ang)
+        py = center[1] + rad * np.sin(ang)
+        kept = np.ones(need, dtype=bool)
+        x, y = occupied[:, :placed]
+        kept[_close_pairs(px, py, x, y, min_sep)[0]] = False
+        # Pair k is also rejected when it sits too close to a kept pair
+        # j < k. The pairs come row by row, so the fate of j is settled
+        # before row k reads it.
+        for k, j in zip(*_close_pairs(px, py, px, py, min_sep)):
+            if j < k and kept[j]:
+                kept[k] = False
+        # Redraws before each kept pair (the first one continues the count of
+        # the last batch), and after the last one.
+        kept_at = np.flatnonzero(kept)
+        gaps = np.diff(kept_at, prepend=-1 - redraws) - 1
+        tail = need - 1 - kept_at[-1] if kept_at.size else redraws + need
+        over = np.flatnonzero(gaps > _MEMBER_RETRIES)
+        if over.size or tail > _MEMBER_RETRIES:
+            m = members + (over[0] if over.size else kept_at.size)
+            raise GeometryError(
+                f"could not place member {m} of cluster {c} with "
+                f"{min_sep:.2e} m separation after {_MEMBER_RETRIES} redraws"
+            )
+        occupied[0, placed : placed + kept_at.size] = px[kept_at]
+        occupied[1, placed : placed + kept_at.size] = py[kept_at]
+        placed += kept_at.size
+        members += kept_at.size
+        redraws = tail
+    return placed
+
+
+def _close_pairs(px, py, x, y, min_sep):
+    """Index pairs (k, j), in row-major order as lists, of the points
+    (px[k], py[k]) and (x[j], y[j]) with hypot(x[j] - px[k], y[j] - py[k])
+    < min_sep, the test a single point would take.
+
+    Differences of at least 2 min_sep rule a pair out without hypot, by a
+    margin far above rounding: a point that far outside the bounding box of
+    the (px, py) in x or y (rounding is monotone, so each of its differences
+    is at least as large), and a pair whose squared distance is at least
+    (2 min_sep)^2.
+    """
+    reach = 2.0 * min_sep
+    inside = np.flatnonzero(
+        (x - px.max() < reach) & (px.min() - x < reach) & (y - py.max() < reach) & (py.min() - y < reach)
+    )
+    dx = x[inside] - px[:, None]
+    dy = y[inside] - py[:, None]
+    k, j = np.nonzero(dx * dx + dy * dy < reach * reach)
+    close = np.hypot(dx[k, j], dy[k, j]) < min_sep
+    return k[close].tolist(), inside[j[close]].tolist()
 
 
 class ConfigError(ValueError):

@@ -12,7 +12,7 @@ from scipy.integrate import quad
 from scipy.special import sici
 
 from saris.channel import LoadEvaluation, RisLoads, fold_esos
-from saris.dipoles import ETA0, ImpedanceSet, assemble_impedances
+from saris.dipoles import ETA0, Dipole, GeometryError, ImpedanceSet, Role, assemble_impedances
 from saris.optimize import (
     OptimizerConfig,
     OptimizerState,
@@ -21,7 +21,17 @@ from saris.optimize import (
     optimal_precoder,
     solve_delta,
 )
-from saris.scenario import ScenarioConfig, generate, resize_users
+from saris.scenario import (
+    _CLUSTER_RETRIES,
+    _MEMBER_RETRIES,
+    MIN_SEPARATION_RADII,
+    ScenarioConfig,
+    _ris_positions,
+    _terminal_positions,
+    generate,
+    resize_users,
+    substream,
+)
 
 Q_TABLE = (-302.50, -19.66)
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -135,6 +145,69 @@ def carter_half_wave_impedance(rho, wavelength):
     return ETA0 / (4.0 * np.pi) * (
         (2.0 * ci[0] - ci[1] - ci[2]) - 1j * (2.0 * si[0] - si[1] - si[2])
     )
+
+
+def generate_one_pair_at_a_time(config, realization_index):
+    """(dipoles, redraws): `generate` as it placed cluster members before
+    they were drawn in batches, one (angle, radius) pair at a time with one
+    distance test against every placed dipole each, and the number of pairs
+    it rejected."""
+    rng = substream(config.seed, realization_index)
+    lam = config.wavelength
+    length = 0.5 * lam
+    radius = config.wire_radius
+    terminals = _terminal_positions(config)
+    ris = _ris_positions(config)
+    ue_y = np.mean([p[1] for p in config.p_UE])
+    theta_lo, theta_hi = (np.pi, 2 * np.pi) if ue_y <= config.p_RIS[1] else (0.0, np.pi)
+    clearance = config.r + lam / 10.0
+    min_sep = MIN_SEPARATION_RADII * radius
+    placed = len(terminals) + len(ris)
+    occupied = np.empty((2, placed + config.n_eso))
+    occupied[:, :placed] = np.transpose(terminals + ris)
+    eso = []
+    redraws = 0
+    for c in range(config.N_c):
+        for attempt in range(_CLUSTER_RETRIES + 1):
+            theta = rng.uniform(theta_lo, theta_hi)
+            s = config.R * np.sqrt(rng.uniform())
+            center = (
+                config.p_RIS[0] + s * np.cos(theta),
+                config.p_RIS[1] + s * np.sin(theta),
+            )
+            if all(np.hypot(t[0] - center[0], t[1] - center[1]) >= clearance for t in terminals):
+                break
+        else:
+            raise GeometryError(
+                f"could not place cluster {c} clear of the terminals "
+                f"after {_CLUSTER_RETRIES} redraws"
+            )
+        for m in range(config.N_O):
+            for attempt in range(_MEMBER_RETRIES + 1):
+                ang = rng.uniform(0.0, 2 * np.pi)
+                rad = config.r * np.sqrt(rng.uniform())
+                p = (center[0] + rad * np.cos(ang), center[1] + rad * np.sin(ang))
+                x, y = occupied[:, :placed]
+                if np.min(np.hypot(x - p[0], y - p[1])) >= min_sep:
+                    break
+                redraws += 1
+            else:
+                raise GeometryError(
+                    f"could not place member {m} of cluster {c} with "
+                    f"{min_sep:.2e} m separation after {_MEMBER_RETRIES} redraws"
+                )
+            eso.append(p)
+            occupied[:, placed] = p
+            placed += 1
+
+    dipoles = [
+        Dipole((x, y, 0.0), length, radius, Role.TRANSMITTER)
+        for x, y in terminals[: config.M]
+    ]
+    dipoles += [Dipole((x, y, 0.0), length, radius, Role.RECEIVER) for x, y in config.p_UE]
+    dipoles += [Dipole((x, y, 0.0), length, radius, Role.ESO) for x, y in eso]
+    dipoles += [Dipole((x, y, 0.0), length, radius, Role.RIS_CELL) for x, y in ris]
+    return dipoles, redraws
 
 
 def smse_bruteforce(h_total, w, sigma_n2):

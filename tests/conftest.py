@@ -26,6 +26,30 @@ from _helpers import folded_scenario, random_impedance_set, random_loads
 _CRITERIA: dict[int, tuple[bool, str]] = {}
 
 
+def _pin_hypothesis_constants():
+    """Give Hypothesis an empty pool of local constants.
+
+    Hypothesis versions with `providers._get_local_constants` draw a share of
+    their examples from the numeric literals of every loaded local module, so
+    the derandomized property tests would draw other examples whenever a
+    literal in src/ or tests/ changed, or other test files were collected.
+    With the pool empty they draw the same examples from the same seed.
+    Versions without that hook have no such pool and are left alone.
+    """
+    try:
+        from hypothesis.internal.conjecture import providers
+    except ImportError:
+        return
+    constants = getattr(providers, "Constants", None)
+    if constants is None or not hasattr(providers, "_get_local_constants"):
+        return
+    pool = constants()
+    providers._get_local_constants = lambda: pool
+
+
+_pin_hypothesis_constants()
+
+
 def _record(number: int, passed: bool, detail: str):
     _CRITERIA[number] = (passed, detail)
 

@@ -215,18 +215,25 @@ def test_in_place_steps_leave_their_inputs_untouched():
     smse_and_rate(ds.h, w, 1e-11)
     _, vec = _power_norm(ev.solve, 12, v0=v0)
     assert not np.shares_memory(vec, v0)
+    _, vec = ev.inverse_norm(v0)
+    assert not np.shares_memory(vec, v0)
     for want, got in zip(before, inputs):
         assert np.array_equal(got, want)
 
 
-def pivoting_evaluation(rng, n):
-    """A load evaluation whose LU swaps rows. Generated deployments and
-    random impedance sets factor with identity pivots, so Z_SS is replaced
-    by a large random block that outweighs the load diagonal."""
+def pivoting_channel(rng, n):
+    """A folded channel whose LUs swap rows. Generated deployments and random
+    impedance sets factor with identity pivots, so Z_SS is replaced by a
+    large random block that outweighs the load diagonal."""
     f = fold_esos(random_impedance_set(rng, n_ris=n))
-    f = dataclasses.replace(
+    return dataclasses.replace(
         f, Z_SS=1e3 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     )
+
+
+def pivoting_evaluation(rng, n):
+    """A load evaluation of `pivoting_channel` whose LU swaps rows."""
+    f = pivoting_channel(rng, n)
     loads = RisLoads(0.2, np.full(n, -150.0), Q_TABLE)
     ev = LoadEvaluation(f, loads)
     assert (ev._lu[1] != np.arange(n)).sum() >= n // 2
@@ -283,9 +290,38 @@ def test_warm_started_inverse_norm_matches_dense_with_interchanges():
 def test_inverse_norm_of_an_empty_surface():
     f = fold_esos(random_impedance_set(np.random.default_rng(13), n_ris=0))
     ev = LoadEvaluation(f, RisLoads(0.2, np.zeros(0), Q_TABLE))
-    norm, vec = _power_norm(ev.solve, 0)
-    assert norm == 0.0
-    assert vec.shape == (0,)
+    for norm, vec in (_power_norm(ev.solve, 0), ev.inverse_norm()):
+        assert norm == 0.0
+        assert vec.shape == (0,)
+
+
+@pytest.mark.parametrize("deployment", ["desk", "pivoting"])
+def test_inverse_norm_rounds_match_the_generic_power_iteration(deployment):
+    # The optimizer runs its power rounds on the LU factors; every estimate
+    # and vector must equal the generic iteration over ev.solve bit for bit,
+    # cold, warm-started from a random vector and from its own last vector,
+    # and at other tolerances and round limits.
+    rng = np.random.default_rng(15)
+    if deployment == "desk":
+        f = folded_scenario(ScenarioConfig(seed=1234))[1]
+        evs = [
+            LoadEvaluation(f, RisLoads(0.2, rng.uniform(*Q_TABLE, size=f.n_ris), Q_TABLE))
+            for _ in range(3)
+        ]
+    else:
+        evs = [pivoting_evaluation(rng, 12)[0] for _ in range(3)]
+    vec = None
+    for ev in evs:
+        n = ev.loads.n
+        starts = [None, np.zeros(n, complex), rng.standard_normal(n) + 1j * rng.standard_normal(n)]
+        for v0 in [*starts, vec]:
+            for tol, max_iter in ((1e-6, 200), (1e-12, 3), (0.0, 200)):
+                got = ev.inverse_norm(v0, tol, max_iter)
+                want = _power_norm(ev.solve, n, tol, max_iter, v0=v0)
+                assert type(got[0]) is type(want[0]) is float
+                assert got[0] == want[0]
+                assert np.array_equal(got[1], want[1])
+            vec = got[1]
 
 
 def test_linearization_is_exact_at_zero_step():
@@ -575,6 +611,83 @@ def assert_trace_lengths(state):
         state.w_power_error_trace,
     ):
         assert len(trace) == k + 1
+
+
+@dataclasses.dataclass
+class RecordingState(OptimizerState):
+    """OptimizerState whose rate trace keeps, with every rate appended, the
+    channel and precoder the state held at that moment."""
+
+    def __post_init__(self):
+        state = self
+        self.recorded = []
+
+        class Trace(list):
+            def append(self, rate):
+                state.recorded.append((state.evaluation.h.copy(), state.W.copy()))
+                super().append(rate)
+
+        self.rate_trace = Trace()
+
+
+@pytest.mark.parametrize("deployment", ["desk", "pivoting", "halving", "zero_step"])
+def test_each_trace_point_scores_the_pair_it_records(monkeypatch, deployment):
+    # The loop compares SMSEs only and takes one rate per trace point; both
+    # must be the scores of the channel and precoder it holds at that point.
+    # "halving" halves 26 steps and keeps its old precoder once; "zero_step"
+    # ends on an iteration whose re-matched precoder is kept but whose load
+    # step is zero, so no candidate rescores the recorded pair.
+    if deployment == "pivoting":
+        f = pivoting_channel(np.random.default_rng(16), 12)
+    elif deployment == "halving":
+        f = folded_scenario(ScenarioConfig(seed=2819575384368733390), realization=4)[1]
+    else:
+        f = folded_scenario(ScenarioConfig(seed=1234))[1]
+    if deployment == "zero_step":
+        steps = []
+        solve = saris.optimize.solve_delta
+
+        def stalling(ds, W, sigma_n2, g_norm):
+            steps.append(solve(ds, W, sigma_n2, g_norm))
+            return steps[-1] if len(steps) < 10 else np.zeros_like(steps[-1])
+
+        monkeypatch.setattr(saris.optimize, "solve_delta", stalling)
+    monkeypatch.setattr(saris.optimize, "OptimizerState", RecordingState)
+    opt = OptimizerConfig(epsilon=1e-300, max_iter=500 if deployment == "halving" else 40)
+    state = saris_optimize(f, opt)
+    assert state.iteration >= 9
+    if deployment == "halving":
+        assert sum(state.halving_trace) > 0
+    if deployment == "zero_step":
+        assert state.iteration == 10
+        assert not np.array_equal(state.recorded[-1][1], state.recorded[-2][1])
+    assert len(state.recorded) == len(state.rate_trace) == len(state.smse_trace)
+    for (h, w), smse, rate in zip(state.recorded, state.smse_trace, state.rate_trace):
+        assert (smse, rate) == smse_and_rate(h, w, opt.sigma_n2)
+
+
+def test_sub_steps_run_once_per_iteration_and_draw(monkeypatch):
+    # The loop reaches build_delta_system and solve_delta, and the random
+    # baseline optimal_precoder, through the module globals that the
+    # benchmark tracer wraps; each runs once per iteration or draw.
+    calls = {"build_delta_system": 0, "solve_delta": 0, "optimal_precoder": 0}
+    for name in calls:
+        fn = getattr(saris.optimize, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(saris.optimize, name, counted)
+    z, f = folded_scenario(ScenarioConfig(seed=1234))
+    opt = OptimizerConfig(epsilon=1e-300, max_iter=25)
+    state = saris_optimize(f, opt)
+    assert state.iteration == 25
+    assert calls == {"build_delta_system": 25, "solve_delta": 25, "optimal_precoder": 0}
+    state = mismatched_optimize(f, z, opt)
+    assert calls["build_delta_system"] == calls["solve_delta"] == 25 + state.iteration
+    random_baseline(f, opt, trials=17, rng=np.random.default_rng(3))
+    assert calls["optimal_precoder"] == 17
 
 
 def test_loop_honors_max_iter():

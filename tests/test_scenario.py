@@ -20,7 +20,7 @@ from saris.scenario import (
     substream,
 )
 
-from _helpers import tiny_config
+from _helpers import generate_one_pair_at_a_time, tiny_config
 
 
 def by_role(dipoles, role):
@@ -173,6 +173,49 @@ def test_cluster_radius_is_area_uniform():
         [positions(by_role(generate(config, k), Role.ESO))[:, 0] for k in range(3)]
     )
     assert (all_x < config.p_RIS[0]).any() and (all_x > config.p_RIS[0]).any()
+
+
+def dipole_bytes(dipoles):
+    """Every field of every dipole, positions as raw float64 bytes."""
+    return (
+        positions(dipoles).tobytes(),
+        [(d.length, d.wire_radius, d.role) for d in dipoles],
+    )
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [dict(N_c=2, N_O=400, r=0.02), dict(N_c=4, N_O=50, r=0.006), dict(N_c=1, N_O=120, r=0.004)],
+    ids=["dense", "tight", "crowded"],
+)
+def test_batched_members_match_one_pair_at_a_time(overrides):
+    # generate draws the missing members of a cluster in batches; each of
+    # 20 (seed, realization) pairs must give the dipoles, bit for bit, of
+    # drawing and testing one pair at a time. The configs are dense enough
+    # that members are redrawn, so the batches after a rejection are tested.
+    redraws = 0
+    for seed in range(5):
+        config = ScenarioConfig(seed=seed, **overrides)
+        for realization in range(4):
+            want, redrawn = generate_one_pair_at_a_time(config, realization)
+            assert dipole_bytes(generate(config, realization)) == dipole_bytes(want)
+            redraws += redrawn
+    assert redraws > 0
+
+
+@pytest.mark.parametrize(
+    "config",
+    [tiny_config(N_c=1, N_O=400, r=0.002), tiny_config(N_c=3, N_O=1500, r=0.004)],
+    ids=["redraws_carried_across_batches", "redraws_within_one_batch"],
+)
+def test_batched_members_fail_where_one_pair_at_a_time_fails(config):
+    # The failing member's redraws span several batches of about 360 pairs
+    # in the first config; the second draws batches of more than 1001 pairs.
+    with pytest.raises(GeometryError) as want:
+        generate_one_pair_at_a_time(config, 0)
+    with pytest.raises(GeometryError) as got:
+        generate(config, 0)
+    assert str(got.value) == str(want.value)
 
 
 def test_crowded_disk_fails_loudly():
