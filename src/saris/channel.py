@@ -245,7 +245,7 @@ class LoadEvaluation:
     """The channel h = H_d - v a_mat at one load setting, from one guarded LU
     of S = Z_SS + Z_SOS + Z_RIS, with v = Z_RL Z_ROS and a_mat = S^-1 B,
     B = Z_SOT Z_TG (both from the folded channel). Other uses of S^-1 go
-    through solve and inverse_norm, so the inverse is never formed. Only the
+    through solve and solve_vector, so the inverse is never formed. Only the
     diagonal of S changes with the loads, so its 1-norm for the condition
     estimate is max_j (A_off[j] + |S_jj|) and needs no pass over the whole
     matrix."""
@@ -266,14 +266,19 @@ class LoadEvaluation:
 
     def solve(self, b: np.ndarray, trans: int = 0) -> np.ndarray:
         """S^-1 b (trans=0), S^-T b (trans=1) or S^-H b (trans=2) as a new
-        array. A block goes through getrs. A vector goes through the row
-        interchanges and two BLAS trsv calls instead, because getrs packs the
-        whole factor for trsm on every call, which costs several triangular
-        solves at N = 256."""
+        array. A block goes through getrs, a vector through `solve_vector`."""
         if self._lu is None:
             return b
         if b.ndim > 1:
             return _lu_solve(self._lu, b, trans)
+        return self.solve_vector(b, trans)
+
+    def solve_vector(self, b: np.ndarray, trans: int) -> np.ndarray:
+        """`solve` for a vector b of a non-empty surface, without its
+        dispatch: the row interchanges and two BLAS trsv calls, because getrs
+        packs the whole factor for trsm on every call, which costs several
+        triangular solves at N = 256. The power iteration for ||S^-1|| calls
+        it directly."""
         lu, piv = self._lu
         # With S = P L U, S^-1 b = U^-1 L^-1 P^T b and S^-T b = P L^-T U^-T b
         # (likewise for ^-H). trsv(a, x, incx, offx, lower, trans, diag,
@@ -287,42 +292,6 @@ class LoadEvaluation:
         y = _laswp(b, piv)
         y = _trsv(lu, y, 1, 0, 1, 0, 1, 1)
         return _trsv(lu, y, 1, 0, 0, 0, 0, 1)
-
-    def inverse_norm(self, v0=None, tol: float = 1e-6, max_iter: int = 200):
-        """(||S^-1||, vector) by power iteration on S^-H S^-1, warm-started
-        from v0. Each round runs the laswp/trsv sequence of solve(v, 0) and
-        solve(av, 2) on the factors directly, so it gives bit for bit what the
-        generic `saris.optimize._power_norm(self.solve, n, tol, max_iter, v0)`
-        gives, without a callback and its dispatch per solve."""
-        if self._lu is None:
-            return 0.0, np.zeros(0, dtype=complex)
-        lu, piv = self._lu
-        n = piv.size
-        if v0 is None or not np.logical_or.reduce(v0):
-            v = np.ones(n, dtype=complex) / np.sqrt(n)
-        else:
-            v = v0 / math.sqrt(np.vdot(v0, v0).real)
-        sigma = 0.0
-        for _ in range(max_iter):
-            av = _laswp(v, piv)
-            av = _trsv(lu, av, 1, 0, 1, 0, 1, 1)
-            av = _trsv(lu, av, 1, 0, 0, 0, 0, 1)
-            sigma_new = math.sqrt(np.vdot(av, av).real)
-            if sigma_new == 0.0:
-                return 0.0, v
-            v = _trsv(lu, av, 1, 0, 0, 2, 0)
-            v = _trsv(lu, v, 1, 0, 1, 2, 1, 1)
-            v = _laswp(v, piv, 0, n - 1, 0, -1, 1)
-            v_norm = math.sqrt(np.vdot(v, v).real)
-            if v_norm == 0.0:
-                return sigma_new, av / sigma_new
-            # The rounds made v, so it is normalized in place.
-            v /= v_norm
-            if abs(sigma_new - sigma) <= tol * sigma_new:
-                sigma = sigma_new
-                break
-            sigma = sigma_new
-        return sigma, v
 
 
 def end_to_end_channel(f: FoldedChannel, loads: RisLoads) -> np.ndarray:

@@ -17,8 +17,9 @@ eighteen. Assembly then streams the upper triangle of the port matrix in
 fixed-size chunks of pairs, in row-major order, and writes each chunk's
 values straight into the matrix; no array spans all pairs. A cheap first
 pass over the chunks checks the wire separations before any kernel work.
-Each chunk evaluates only the integrals that some pair of it weights, and a
-chunk whose pairs share one geometry, as every chunk of a generated
+Each chunk evaluates every argument of the table, which is as wide as its
+widest geometry; a geometry narrower than that is padded at zero weight.
+A chunk whose pairs share one geometry, as every chunk of a generated
 deployment does, broadcasts that geometry's table column instead of
 gathering one per pair.
 """
@@ -369,12 +370,6 @@ def _pair_impedances(dipoles: list[Dipole], wavelength: float, chunks):
     offsets, coefs = _geometry_table(
         kinds[t, 0] - kinds[s, 0], 0.5 * kinds[s, 1], 0.5 * kinds[t, 1], wavelength
     )
-    # Each geometry's weighted offsets lead its column, and whether it weights
-    # k rho; a chunk evaluates only the arguments some pair of it weights.
-    n = len(offsets)
-    width = (coefs[:, :2 * n] != 0).reshape(3, 2, n, -1).any(axis=(0, 1)).sum(axis=0)
-    weights_rho = coefs[:, 2 * n:].any(axis=(0, 1))
-    rows = np.arange(len(coefs[0]))
     k = 2.0 * np.pi / wavelength
     for i, j in chunks():
         rho = np.hypot(x[i] - x[j], y[i] - y[j])
@@ -383,9 +378,7 @@ def _pair_impedances(dipoles: list[Dipole], wavelength: float, chunks):
         # A chunk of one geometry broadcasts its column instead of gathering.
         c = geometry[kind[i], kind[j]] if len(kinds) > 1 else geometry[0]
         c = c[:1] if c.min() == c.max() else c
-        m = max(width[c].max(), 1)
-        used = np.concatenate((rows[:m], rows[n:n + m], rows[2 * n:2 * n + weights_rho[c].any()]))
-        yield i, j, _coupling(rho, offsets[:m, c], coefs[:, used[:, None], c], k)
+        yield i, j, _coupling(rho, offsets[:, c], coefs[:, :, c], k)
 
 
 def _mirror_upper(z: np.ndarray):

@@ -193,22 +193,24 @@ def _vec_norm(v: np.ndarray) -> float:
     return math.sqrt(np.vdot(v, v).real)
 
 
-def _power_norm(apply, n: int, tol: float = 1e-6, max_iter: int = 200, v0=None):
+# Relative change of the estimate that ends `_power_norm`, and its round limit.
+_POWER_TOL = 1e-6
+_POWER_ROUNDS = 200
+
+
+def _power_norm(apply, n: int, v0=None):
     """Spectral norm of an n x n operator by power iteration; apply(v, trans)
     returns A v for trans=0 and A^H v for trans=2. Returns (norm, vector) so
-    callers can warm-start the next estimate.
-
-    The optimizer takes ||S^-1|| from `LoadEvaluation.inverse_norm`, which
-    runs these rounds on the LU factors without the callback; this generic
-    form is the reference it must match bit for bit."""
+    callers can warm-start the next estimate. The optimizer takes ||S^-1||
+    with `LoadEvaluation.solve_vector` as apply."""
     if n == 0:
         return 0.0, np.zeros(0, dtype=complex)
-    if v0 is None or not v0.any():
+    if v0 is None or not _any(v0):
         v = np.ones(n, dtype=complex) / np.sqrt(n)
     else:
         v = v0 / _vec_norm(v0)
     sigma = 0.0
-    for _ in range(max_iter):
+    for _ in range(_POWER_ROUNDS):
         av = apply(v, 0)
         sigma_new = _vec_norm(av)
         if sigma_new == 0.0:
@@ -219,7 +221,7 @@ def _power_norm(apply, n: int, tol: float = 1e-6, max_iter: int = 200, v0=None):
             return float(sigma_new), av / sigma_new
         # apply returns a new array, so it is normalized in place.
         v /= v_norm
-        if abs(sigma_new - sigma) <= tol * sigma_new:
+        if abs(sigma_new - sigma) <= _POWER_TOL * sigma_new:
             sigma = sigma_new
             break
         sigma = sigma_new
@@ -315,7 +317,7 @@ def saris_optimize(f: FoldedChannel, config: OptimizerConfig) -> OptimizerState:
     x = np.clip(config.initial_reactances(n), *config.q_interval)
     loads = RisLoads(r0, x, config.q_interval)
     ev = LoadEvaluation(f, loads)
-    g_norm, g_vec = ev.inverse_norm()
+    g_norm, g_vec = _power_norm(ev.solve_vector, n)
     w, w_residual = _precoder_solve(ev.h, power, sigma_n2)
 
     state = OptimizerState(W=w, loads=loads, evaluation=ev, g_norm=g_norm)
@@ -374,7 +376,7 @@ def saris_optimize(f: FoldedChannel, config: OptimizerConfig) -> OptimizerState:
         state.halving_trace.append(halvings)
 
         if cand is not None:
-            g_norm, g_vec = cand.inverse_norm(g_vec)
+            g_norm, g_vec = _power_norm(cand.solve_vector, n, v0=g_vec)
             state.loads = cand.loads
             state.evaluation = cand
             state.g_norm = g_norm

@@ -327,36 +327,6 @@ def test_assembly_does_not_depend_on_slice_size(monkeypatch, deployment):
         assert np.array_equal(full, matrices[0])
 
 
-def test_each_pair_evaluates_only_its_own_weighted_arguments(monkeypatch):
-    # One pair per chunk: a table padded to its widest geometry would have
-    # every pair evaluate that geometry's arguments. A pair's own count is
-    # the width of a table of its geometry alone.
-    arguments = []
-    sici = scipy.special.sici
-
-    def counting(x):
-        arguments.append(np.size(x))
-        return sici(x)
-
-    dipoles = in_assembly_order(mixed_deployment())
-    widths, total = {}, 0
-    for i, a in enumerate(dipoles):
-        for b in dipoles[i:]:
-            # The source is the dipole with the larger (length, z).
-            s, t = sorted((a, b), key=lambda d: (d.length, d.position[2]), reverse=True)
-            key = (t.position[2] - s.position[2], s.half_length, t.half_length)
-            if key not in widths:
-                _, coefs = saris.dipoles._geometry_table(*(np.array([v]) for v in key), LAM)
-                widths[key] = coefs.shape[1]
-            total += widths[key]
-    # The geometries differ in width, so padding would show.
-    assert min(widths.values()) < max(widths.values())
-    monkeypatch.setattr(scipy.special, "sici", counting)
-    monkeypatch.setattr(saris.dipoles, "_PAIRS_PER_CALL", 1)
-    assemble_impedances(dipoles, LAM)
-    assert sum(arguments) == total
-
-
 def stacked_deployment():
     """A transmitter 0.6 wavelength above scatterer 7, with every other dipole
     at z = 0: pairs (0, j > 0) share one geometry, and (0, 7) is collinear."""
