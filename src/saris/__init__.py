@@ -8,7 +8,6 @@ from saris.channel import (
     end_to_end_channel,
     fold_esos,
     interaction_free,
-    mismatched_channel,
     scatter_matrix,
 )
 from saris.dipoles import (
@@ -65,7 +64,6 @@ __all__ = [
     "fold_esos",
     "generate",
     "interaction_free",
-    "mismatched_channel",
     "mismatched_optimize",
     "mutual_impedance",
     "optimal_precoder",

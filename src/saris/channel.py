@@ -81,9 +81,6 @@ class RisLoads:
         """Diagonal of Z_RIS; the real part is r0 by construction."""
         return self.r0 + 1j * self.x
 
-    def matrix(self) -> np.ndarray:
-        return np.diag(self.z_diagonal)
-
 
 @dataclass(frozen=True)
 class FoldedChannel:
@@ -314,8 +311,3 @@ def interaction_free(f: FoldedChannel, z: ImpedanceSet) -> FoldedChannel:
         H_d=f.H_d,
         Z_SS=f.Z_SS,
     )
-
-
-def mismatched_channel(f: FoldedChannel, z: ImpedanceSet, loads: RisLoads) -> np.ndarray:
-    """Channel predicted by the interaction-free model for the given loads."""
-    return end_to_end_channel(interaction_free(f, z), loads)

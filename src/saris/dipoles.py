@@ -93,10 +93,6 @@ class Dipole:
                 f"(must be below length/10 = {self.length / 10})"
             )
 
-    @property
-    def half_length(self) -> float:
-        return 0.5 * self.length
-
     def same_geometry(self, other: "Dipole") -> bool:
         return (
             self.position == other.position

@@ -39,10 +39,6 @@ class DegenerateChannelError(ValueError):
     """The channel matrix is identically zero."""
 
 
-class StaleStateError(RuntimeError):
-    """The state's load evaluation no longer corresponds to its loads."""
-
-
 @dataclass
 class OptimizerConfig:
     power: float = 1.0
@@ -90,7 +86,6 @@ class OptimizerState:
     """Carrier of one optimization run: current iterate plus its history."""
 
     W: np.ndarray
-    loads: RisLoads
     evaluation: LoadEvaluation
     smse_trace: list[float] = field(default_factory=list)
     rate_trace: list[float] = field(default_factory=list)
@@ -109,6 +104,11 @@ class OptimizerState:
     final_smse: float = float("nan")
     final_sum_rate: float = float("nan")
 
+    @property
+    def loads(self) -> RisLoads:
+        """The loads of `evaluation`, read-only: the state keeps no other copy."""
+        return self.evaluation.loads
+
 
 @dataclass
 class DeltaStep:
@@ -123,15 +123,6 @@ class DeltaStep:
     u: np.ndarray
     a_mat: np.ndarray
     h: np.ndarray
-
-    @property
-    def h_bar_per_user(self) -> list[np.ndarray]:
-        """Per user, the N sensitivity rows stacked on top of the channel row
-        ((N+1) x M); read-only, derived from u, a_mat and h."""
-        stacks = [np.vstack([u_l[:, None] * self.a_mat, h_l]) for u_l, h_l in zip(self.u, self.h)]
-        for stack in stacks:
-            stack.flags.writeable = False
-        return stacks
 
 
 def _smse_terms(h: np.ndarray, W: np.ndarray, sigma_n2: float):
@@ -228,16 +219,13 @@ def _power_norm(apply, n: int, v0=None):
     return float(sigma), v
 
 
-def build_delta_system(f: FoldedChannel, state: OptimizerState) -> DeltaStep:
-    """Factors of the channel linearized at the current loads.
+def build_delta_system(state: OptimizerState) -> DeltaStep:
+    """Factors of the channel linearized at the loads of state.evaluation.
 
     The sensitivity rows need u = v S^-1 (see LoadEvaluation): one transposed
-    solve with the factors of state.evaluation. Raises StaleStateError if
-    state.evaluation belongs to other loads than state currently holds.
+    solve with the factors of state.evaluation.
     """
     ev = state.evaluation
-    if ev.loads is not state.loads and not np.array_equal(ev.loads.x, state.loads.x):
-        raise StaleStateError("state.evaluation does not correspond to state.loads")
     return DeltaStep(u=ev.solve(ev.v.T, 1).T, a_mat=ev.a_mat, h=ev.h)
 
 
@@ -320,7 +308,7 @@ def saris_optimize(f: FoldedChannel, config: OptimizerConfig) -> OptimizerState:
     g_norm, g_vec = _power_norm(ev.solve_vector, n)
     w, w_residual = _precoder_solve(ev.h, power, sigma_n2)
 
-    state = OptimizerState(W=w, loads=loads, evaluation=ev, g_norm=g_norm)
+    state = OptimizerState(W=w, evaluation=ev, g_norm=g_norm)
     # The SMSE of state.W on the current channel, with the |h W|^2 terms that
     # give its rate. The comparisons need only the SMSE, so a rate is taken
     # once per trace point, from the pair that point records.
@@ -356,7 +344,7 @@ def saris_optimize(f: FoldedChannel, config: OptimizerConfig) -> OptimizerState:
         w = state.W
         record_w_diagnostics()
 
-        step = solve_delta(build_delta_system(f, state), w, sigma_n2, g_norm)
+        step = solve_delta(build_delta_system(state), w, sigma_n2, g_norm)
         cand = None
         halvings = 0
         while _any(step):
@@ -377,7 +365,6 @@ def saris_optimize(f: FoldedChannel, config: OptimizerConfig) -> OptimizerState:
 
         if cand is not None:
             g_norm, g_vec = _power_norm(cand.solve_vector, n, v0=g_vec)
-            state.loads = cand.loads
             state.evaluation = cand
             state.g_norm = g_norm
         record_point()
@@ -419,7 +406,7 @@ def random_baseline(
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    gen = np.random.default_rng(rng)
     n = f.n_ris
     lo, hi = config.q_interval
     draws = gen.uniform(lo, hi, size=(trials, n))
@@ -441,7 +428,7 @@ def random_baseline(
         rate_trace.append(best_rate)
 
     w, ev = best
-    state = OptimizerState(W=w, loads=ev.loads, evaluation=ev)
+    state = OptimizerState(W=w, evaluation=ev)
     state.smse_trace = smse_trace
     state.rate_trace = rate_trace
     state.iteration = trials

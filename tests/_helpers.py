@@ -81,7 +81,7 @@ def dense_oneshot_channel(z, loads):
     [[Z_OO + Z_US, Z_OS], [Z_SO, Z_SS + Z_RIS]] is inverted as a whole.
     """
     zbar = z.Z_OO + z.Z_US
-    env = np.block([[zbar, z.Z_OS], [z.Z_SO, z.Z_SS + loads.matrix()]])
+    env = np.block([[zbar, z.Z_OS], [z.Z_SO, z.Z_SS + np.diag(loads.z_diagonal)]])
     coupl = z.Z_RT - np.hstack([z.Z_RO, z.Z_RS]) @ np.linalg.inv(env) @ np.vstack(
         [z.Z_OT, z.Z_ST]
     )
@@ -131,7 +131,7 @@ def pair_for_oracle(a, b):
         rho = a.wire_radius
     else:
         rho = np.hypot(a.position[0] - b.position[0], a.position[1] - b.position[1])
-    return (rho, a.position[2], a.half_length), (b.position[2], b.half_length)
+    return (rho, a.position[2], 0.5 * a.length), (b.position[2], 0.5 * b.length)
 
 
 def carter_half_wave_impedance(rho, wavelength):
@@ -264,11 +264,11 @@ def delta_step_seconds(n_ris, repeats=25):
     ev = LoadEvaluation(f, loads)
     g_norm = _power_norm(ev.solve, n_ris)[0]
     w = optimal_precoder(ev.h, opt.power, opt.sigma_n2)
-    state = OptimizerState(W=w, loads=loads, evaluation=ev, g_norm=g_norm)
+    state = OptimizerState(W=w, evaluation=ev, g_norm=g_norm)
     best = np.inf
     for _ in range(repeats):
         t0 = perf_counter()
-        ds = build_delta_system(f, state)
+        ds = build_delta_system(state)
         solve_delta(ds, w, opt.sigma_n2, g_norm)
         best = min(best, perf_counter() - t0)
     return best

@@ -24,11 +24,11 @@ from saris.cli import (
     exit_code_for,
     main,
 )
-from saris.dipoles import GeometryError
-from saris.optimize import DegenerateChannelError, OptimizerConfig
-from saris.scenario import ConfigError, parse_config, serialize_config
+from saris.dipoles import GeometryError, Role
+from saris.optimize import DegenerateChannelError, OptimizerConfig, saris_optimize
+from saris.scenario import ConfigError, generate, parse_config, serialize_config
 
-from _helpers import tiny_config
+from _helpers import folded_scenario, tiny_config
 
 TRACE_HEADER = ["algo", "seed", "iter", "smse", "sum_rate"]
 RUNS_HEADER = ["config_hash", "seed", "algo", "final_sum_rate", "iterations", "wall_time_s", "converged"]
@@ -463,3 +463,22 @@ def test_benchmark_hooks_exist(module, name):
     # The campaign benchmark's oracle reads these module globals with no
     # fallback, so renaming or deleting one must fail here first.
     assert callable(getattr(importlib.import_module(module), name))
+
+
+def test_benchmark_reads_these_attributes():
+    # The oracle also reads, with no fallback, the final saris loads, the
+    # dense port matrix with its terminations, and each dipole's position and
+    # role.
+    config = tiny_config()
+    z, f = folded_scenario(config)
+    state = saris_optimize(f, OptimizerConfig(max_iter=5))
+    assert state.loads.z_diagonal.shape == (z.n_ris,)
+    k = z.m_tx + z.l_rx + z.n_eso + z.n_ris
+    assert z.full_matrix().shape == (k, k)
+    assert z.Z_G.shape == (z.m_tx, z.m_tx)
+    assert z.Z_L.shape == (z.l_rx, z.l_rx)
+    assert z.Z_US.shape == (z.n_eso, z.n_eso)
+    dipoles = generate(config, 0)
+    assert all(len(d.position) == 3 for d in dipoles)
+    assert sum(d.role is Role.RIS_CELL for d in dipoles) == z.n_ris
+    assert sum(d.role is Role.ESO for d in dipoles) == z.n_eso

@@ -222,7 +222,7 @@ def test_overlapping_bodies_rejected():
 
 def test_half_length_and_geometry_predicates():
     a = dip()
-    assert a.half_length == pytest.approx(HALF_WAVE / 2)
+    assert 0.5 * a.length == pytest.approx(HALF_WAVE / 2)
     assert a.same_geometry(dip())
     assert not a.same_geometry(dip(x=1.0))
     assert not a.same_geometry(dip(length=0.4 * LAM))
