@@ -21,8 +21,8 @@ from saris.dipoles import ImpedanceSet
 
 COND_LIMIT = 1e12
 
-# Columns per block of `_one_norm`; its |a| temporaries stay within this many
-# columns of the matrix.
+# Columns per block of `_one_norm` and of the A_off sums of `FoldedChannel`;
+# their |a| temporaries stay within this many columns of the matrix.
 _NORM_COLUMNS = 256
 
 _getrf, _gecon, _getrs, _laswp = get_lapack_funcs(
@@ -93,8 +93,11 @@ class FoldedChannel:
     v = Z_RL Z_ROS and B = Z_SOT Z_TG of the RIS term, the inner block
     A = Z_SS + Z_SOS (Fortran-ordered), to which each evaluation adds only the
     load diagonal, and A_off[j] = sum_{i != j} |A_ij|, which gives the 1-norm
-    of every S = A + Z_RIS in O(N). Their six source blocks are made
-    read-only and the fields cannot be rebound, so none of them goes stale.
+    of every S = A + Z_RIS in O(N). A_off is summed by column blocks, so no
+    N x N |A| is made. Their six source blocks are made read-only and the
+    fields cannot be rebound, so none of them goes stale. Only A is
+    Fortran-ordered; the source blocks keep the layout they are given, and
+    from `fold_esos` Z_SS is a read-only view of `z.Z`.
     """
 
     Z_ROT: np.ndarray
@@ -117,9 +120,13 @@ class FoldedChannel:
         # Fortran order, so the solves against S copy it without transposing.
         b = np.asfortranarray(self.Z_SOT @ self.Z_TG)
         a = np.add(self.Z_SS, self.Z_SOS, order="F")
-        abs_a = np.abs(a)
-        np.fill_diagonal(abs_a, 0.0)
-        a_off = abs_a.sum(axis=0)
+        a_off = np.empty(len(a))
+        for lo in range(0, len(a), _NORM_COLUMNS):
+            cols = slice(lo, lo + _NORM_COLUMNS)
+            abs_block = np.abs(a[:, cols])
+            # Column lo + j of A holds its diagonal entry in row lo + j.
+            np.fill_diagonal(abs_block[lo:], 0.0)
+            abs_block.sum(axis=0, out=a_off[cols])
         for derived in (v, b, a, a_off):
             derived.flags.writeable = False
         object.__setattr__(self, "v", v)
@@ -188,6 +195,11 @@ def fold_esos(z: ImpedanceSet) -> FoldedChannel:
     blocks are read as views of `z.Z`; Z_OO + Z_US is formed once, as a
     Fortran-ordered copy of Z_OO with z_us added on its diagonal, which
     getrf then factors in place.
+
+    The folded channel's Z_SS is a read-only view of `z.Z`, not a copy: no
+    stage writes `z.Z` after the fold, and `FoldedChannel` reads Z_SS only to
+    form A. Z_SOS is made in the one buffer of its product, negated in
+    place.
     """
     ns = z.n_eso
     m, l = z.m_tx, z.l_rx
@@ -200,7 +212,8 @@ def fold_esos(z: ImpedanceSet) -> FoldedChannel:
         y_sol = np.zeros((0, z.n_ris), dtype=complex)
     z_rot = z.Z_RT - z.Z_RO @ x_sol
     z_ros = z.Z_RO @ y_sol - z.Z_RS
-    z_sos = np.asfortranarray(-(z.Z_SO @ y_sol))
+    z_sos = z.Z_SO @ y_sol
+    np.negative(z_sos, out=z_sos)
     z_sot = z.Z_SO @ x_sol - z.Z_ST
 
     if np.any(z.z_l == 0):
@@ -218,7 +231,7 @@ def fold_esos(z: ImpedanceSet) -> FoldedChannel:
         Z_RL=z_rl,
         Z_TG=z_tg,
         H_d=z_rl @ z_rot @ z_tg,
-        Z_SS=np.array(z.Z_SS, order="F"),
+        Z_SS=z.Z_SS,
     )
 
 
@@ -298,13 +311,14 @@ def end_to_end_channel(f: FoldedChannel, loads: RisLoads) -> np.ndarray:
 
 def interaction_free(f: FoldedChannel, z: ImpedanceSet) -> FoldedChannel:
     """Folded quantities of the additive model that ignores the coupling
-    between RIS cells and scatterers. Shares Z_ROT (and hence H_d) with the
-    full model; the RIS-dependent term reverts to the bare blocks."""
+    between RIS cells and scatterers. Shares Z_ROT (and hence H_d) and Z_SS
+    with the full model; the RIS-dependent term reverts to the bare blocks.
+    Its Z_SOS is a read-only zero view with no N x N buffer behind it."""
     n = z.n_ris
     return FoldedChannel(
         Z_ROT=f.Z_ROT,
         Z_ROS=-z.Z_RS,
-        Z_SOS=np.zeros((n, n), dtype=complex, order="F"),
+        Z_SOS=np.broadcast_to(np.zeros((), dtype=complex), (n, n)),
         Z_SOT=-z.Z_ST,
         Z_RL=f.Z_RL,
         Z_TG=f.Z_TG,

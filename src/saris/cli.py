@@ -114,6 +114,9 @@ def _run_trial(payload):
                 "converged": state.converged,
             }
         )
+        # The record holds all this arm's results; dropping its state frees
+        # the LU factors its evaluation holds before the next arm factors.
+        del state
     return records
 
 

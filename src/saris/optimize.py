@@ -426,6 +426,9 @@ def random_baseline(
             best = (w, ev)
         smse_trace.append(best_smse)
         rate_trace.append(best_rate)
+        # Only the best draw's evaluation is kept (in `best`); dropping this
+        # draw's name frees its LU factors before the next draw is factored.
+        del ev
 
     w, ev = best
     state = OptimizerState(W=w, evaluation=ev)

@@ -21,6 +21,7 @@ from saris.channel import (
     interaction_free,
     scatter_matrix,
 )
+from saris.cli import ALGOS, _run_trial
 from saris.dipoles import assemble_impedances
 from saris.optimize import OptimizerConfig, mismatched_optimize, saris_optimize
 from saris.scenario import ScenarioConfig, generate
@@ -290,6 +291,11 @@ def test_channel_factors_cannot_go_stale(model):
     z, f = folded_scenario(tiny_config())
     if model == "interaction_free":
         f = interaction_free(f, z)
+        # The zero coupling block is a view with no buffer behind it.
+        assert f.Z_SOS.strides == (0, 0)
+        assert not f.Z_SOS.any()
+    # Z_SS is a view of the port matrix, not a copy.
+    assert np.shares_memory(f.Z_SS, z.Z)
     assert np.array_equal(f.v, f.Z_RL @ f.Z_ROS)
     assert np.array_equal(f.B, f.Z_SOT @ f.Z_TG)
     assert f.A.tobytes() == (f.Z_SS + f.Z_SOS).tobytes()
@@ -374,6 +380,43 @@ def test_front_end_memory_is_bounded_by_the_port_matrix():
     unit = 16 * k**2
     assert assembly < 1.4 * unit, f"assembly peak {assembly / unit:.2f} x 16 K^2 bytes"
     assert peak < 2.3 * unit, f"traced peak {peak / unit:.2f} x 16 K^2 bytes"
+
+
+def test_back_end_memory_holds_only_the_blocks_its_stages_read():
+    # One realization of an N = 576 surface. The fold keeps Z_SS as a view of
+    # z.Z and forms Z_SOS in one buffer; the interaction-free model's Z_SOS
+    # has no buffer; each arm's LU factors, and each random draw's, are freed
+    # before the next are made. Units are one complex N x N block.
+    config = dataclasses.replace(ScenarioConfig(seed=1234), N=576, N_c=1, N_O=20)
+    opt_config = OptimizerConfig(
+        power=config.P,
+        sigma_n2=config.sigma_n2,
+        epsilon=1e-9,
+        max_iter=3,
+        q_interval=config.Q_interval,
+        r0=config.R0,
+    )
+    # A small realization first, so that first-call imports and caches are
+    # not counted.
+    _run_trial((dataclasses.replace(config, N=16), opt_config, 0, ALGOS, 3))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _run_trial((config, opt_config, 0, ALGOS, 3))
+        trial_peak = tracemalloc.get_traced_memory()[1] - base
+        dipoles = generate(config, 0)
+        z = assemble_impedances(
+            dipoles, config.wavelength, z_g=config.Z_G, z_l=config.Z_L, z_us=config.Z_US
+        )
+        tracemalloc.reset_peak()
+        assembled = tracemalloc.get_traced_memory()[0]
+        fold_esos(z)
+        fold_peak = tracemalloc.get_traced_memory()[1] - assembled
+    finally:
+        tracemalloc.stop()
+    unit = 16 * config.N**2
+    assert trial_peak <= 7.0 * unit, f"realization peak {trial_peak / unit:.2f} x 16 N^2 bytes"
+    assert fold_peak <= 2.8 * unit, f"fold peak {fold_peak / unit:.2f} x 16 N^2 bytes"
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
