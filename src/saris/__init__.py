@@ -1,5 +1,11 @@
 """Impedance-coupled RIS link simulator and load-reactance optimizer."""
 
+import os
+
+# BLAS reads these once, when it loads, so they are set before numpy is imported.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
 from saris.channel import (
     FoldedChannel,
     LoadEvaluation,
@@ -8,7 +14,6 @@ from saris.channel import (
     end_to_end_channel,
     fold_esos,
     interaction_free,
-    scatter_matrix,
 )
 from saris.dipoles import (
     ETA0,
@@ -70,7 +75,6 @@ __all__ = [
     "parse_config",
     "random_baseline",
     "saris_optimize",
-    "scatter_matrix",
     "serialize_config",
     "solve_delta",
     "substream",

@@ -235,13 +235,6 @@ def fold_esos(z: ImpedanceSet) -> FoldedChannel:
     )
 
 
-def scatter_matrix(f: FoldedChannel, loads: RisLoads) -> np.ndarray:
-    """The load-dependent inner matrix Z_SS + Z_SOS + Z_RIS, Fortran-ordered
-    as LAPACK wants it: a copy of the cached A = Z_SS + Z_SOS with the load
-    diagonal added."""
-    return _plus_diagonal(f.A, loads.z_diagonal)
-
-
 def _plus_diagonal(a: np.ndarray, d: np.ndarray) -> np.ndarray:
     """A Fortran-ordered copy of the square `a` with `d` added to its
     diagonal, ready for LAPACK to factor in place."""
@@ -267,7 +260,7 @@ class LoadEvaluation:
         self.loads = loads
         self._lu = None
         if n:
-            s = scatter_matrix(f, loads)
+            s = _plus_diagonal(f.A, loads.z_diagonal)
             anorm = np.maximum.reduce(f.A_off + np.abs(s.diagonal()))
             self._lu = _guarded_lu(s, "Z_SS + Z_SOS + Z_RIS", anorm)
         self.v = f.v

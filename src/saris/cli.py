@@ -13,11 +13,9 @@ import csv
 import hashlib
 import json
 import multiprocessing
-import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -54,8 +52,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_NUMERICAL = 4
-
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def exit_code_for(exc: BaseException) -> int:
@@ -120,27 +116,6 @@ def _run_trial(payload):
     return records
 
 
-@contextmanager
-def _worker_pool(jobs: int):
-    """Pool of `jobs` spawned worker processes whose BLAS runs one thread,
-    unless the caller set the thread variables itself.
-
-    A spawned worker loads BLAS afresh and reads the variables then; a forked
-    one would inherit the parent's initialized BLAS and ignore them. They stay
-    set while the pool lives, since workers may start at any submit.
-    """
-    unset = [name for name in BLAS_THREAD_VARS if name not in os.environ]
-    os.environ.update(dict.fromkeys(unset, "1"))
-    try:
-        with ProcessPoolExecutor(
-            max_workers=jobs, mp_context=multiprocessing.get_context("spawn")
-        ) as pool:
-            yield pool
-    finally:
-        for name in unset:
-            os.environ.pop(name, None)
-
-
 def _execute_trials(config: ScenarioConfig, opt_config, algos, baseline_trials, jobs):
     payloads = [
         (config, opt_config, trial, algos, baseline_trials) for trial in range(config.trials)
@@ -148,7 +123,9 @@ def _execute_trials(config: ScenarioConfig, opt_config, algos, baseline_trials, 
     if jobs <= 1 or len(payloads) <= 1:
         results = [_run_trial(p) for p in payloads]
     else:
-        with _worker_pool(jobs) as pool:
+        with ProcessPoolExecutor(
+            max_workers=jobs, mp_context=multiprocessing.get_context("spawn")
+        ) as pool:
             results = list(pool.map(_run_trial, payloads))
     return [record for per_trial in results for record in per_trial]
 

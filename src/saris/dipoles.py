@@ -47,12 +47,6 @@ _PAIRS_PER_CALL = 4096
 # temporaries stay within this many rows of Z.
 _ROWS_PER_BLOCK = 64
 
-# Geometries per block of the geometry table. The temporaries of a block this
-# size stay small enough that a process's first assembly does not fault them
-# in afresh for every block: with 20k geometries, 4096 took ~13k page faults
-# against ~2k, and the first assembly ran ~15 % slower.
-_GEOMETRIES_PER_BLOCK = 1024
-
 
 class GeometryError(ValueError):
     """Raised for physically invalid element placement."""
@@ -106,37 +100,12 @@ def _geometry_table(dz, h_src, h_tst, wavelength) -> tuple[np.ndarray, np.ndarra
 
     Row g of dz, h_src, h_tst is one geometry: the test centre height above
     the source centre, and the two half-lengths. Returns (offsets, coefs):
-    column g of the (n, G) offsets holds geometry g's weighted axial offsets
-    |t| > 0 ascending, and column g of the (3, 2n + z, G) coefs the real and
+    column g of the (m, G) offsets holds geometry g's weighted axial offsets
+    |t| > 0 ascending, and column g of the (3, 2m + z, G) coefs the real and
     imaginary coefficients of Cin + jSi and the imaginary ones of ln x at its
-    arguments k(R - |t|), then k(R + |t|), then, if z = 1, k rho (see
-    `_geometry_block`). A geometry with fewer offsets than the widest is
-    padded at zero weight; z = 0 when no geometry weights |t| = 0.
-    """
-    # Built in blocks: for thousands of geometries at once, the temporaries
-    # cost more than the arithmetic.
-    starts = range(0, dz.size, _GEOMETRIES_PER_BLOCK)
-    blocks = [
-        _geometry_block(*(a[lo:lo + _GEOMETRIES_PER_BLOCK] for a in (dz, h_src, h_tst)), wavelength)
-        for lo in starts
-    ]
-    n = max(len(o) for o, _, _ in blocks)
-    offsets = np.empty((n, dz.size))
-    coefs = np.zeros((3, 2 * n + 1, dz.size))
-    for lo, (o, c, merged) in zip(starts, blocks):
-        m, p = len(o), slice(lo, lo + o.shape[1])
-        offsets[:m, p] = o
-        offsets[m:, p] = o[0]
-        coefs[:, :m, p] = c[:, 0]
-        coefs[:, n:n + m, p] = c[:, 1]
-        coefs[:, 2 * n, p] = merged
-    return offsets, coefs if coefs[:, 2 * n].any() else coefs[:, :2 * n]
-
-
-def _geometry_block(dz, h_src, h_tst, wavelength) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`_geometry_table` for a few geometries, as the (m, G) offsets, the
-    (3, 2, m, G) coefficients at k(R -+ |t|) of each, and the (3, G) ones at
-    k rho, with m their most weighted offsets.
+    arguments k(R - |t|), then k(R + |t|), then, if z = 1, k rho. A geometry
+    with fewer offsets than the widest is padded at zero weight; z = 0 when
+    no geometry weights |t| = 0.
 
     The source's field is three spherical waves e^{-jkR}/R, from its tips and
     centre; each integrates against the e^{+-jkt} parts of the test current
@@ -231,7 +200,10 @@ def _geometry_block(dz, h_src, h_tst, wavelength) -> tuple[np.ndarray, np.ndarra
     weighted = coef.any(axis=(0, 1))
     m = max(weighted.sum(axis=0).max(), 1)
     keep = np.argsort(~weighted, axis=0, kind="stable")[:m] * dz.size + np.arange(dz.size)
-    return slots.T.take(keep), coef.reshape(3, 2, -1).take(keep, axis=2), merged
+    coefs = np.empty((3, 2 * m + 1, dz.size))
+    coefs[:, :2 * m] = coef.reshape(3, 2, -1).take(keep, axis=2).reshape(3, 2 * m, dz.size)
+    coefs[:, 2 * m] = merged
+    return slots.T.take(keep), coefs if merged.any() else coefs[:, :2 * m]
 
 
 def _coupling(rho, offsets, coefs, k) -> np.ndarray:

@@ -47,7 +47,6 @@ class OptimizerConfig:
     max_iter: int = 500
     q_interval: tuple[float, float] = (-302.50, -19.66)
     r0: float = 0.2
-    x_init: np.ndarray | None = None
 
     def __post_init__(self):
         # Each message starts with the field name, which the CLI maps to its
@@ -71,14 +70,8 @@ class OptimizerConfig:
             raise ValueError(f"r0 must be finite and non-negative, got {self.r0}")
 
     def initial_reactances(self, n: int) -> np.ndarray:
-        if self.x_init is None:
-            return np.full(n, 0.5 * (self.q_interval[0] + self.q_interval[1]))
-        x = np.atleast_1d(np.asarray(self.x_init, dtype=float))
-        if x.size == 1:
-            return np.full(n, float(x[0]))
-        if x.size != n:
-            raise ValueError(f"x_init has {x.size} entries, expected {n}")
-        return x.copy()
+        """The starting reactances: the midpoint of q_interval at every cell."""
+        return np.full(n, 0.5 * (self.q_interval[0] + self.q_interval[1]))
 
 
 @dataclass
@@ -302,8 +295,7 @@ def saris_optimize(f: FoldedChannel, config: OptimizerConfig) -> OptimizerState:
     """
     n = f.n_ris
     power, sigma_n2, r0 = config.power, config.sigma_n2, config.r0
-    x = np.clip(config.initial_reactances(n), *config.q_interval)
-    loads = RisLoads(r0, x, config.q_interval)
+    loads = RisLoads(r0, config.initial_reactances(n), config.q_interval)
     ev = LoadEvaluation(f, loads)
     g_norm, g_vec = _power_norm(ev.solve_vector, n)
     w, w_residual = _precoder_solve(ev.h, power, sigma_n2)

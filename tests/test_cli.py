@@ -14,12 +14,10 @@ import pytest
 import saris.cli
 from saris.channel import SingularBlockError
 from saris.cli import (
-    BLAS_THREAD_VARS,
     EXIT_CONFIG,
     EXIT_IO,
     EXIT_NUMERICAL,
     EXIT_OK,
-    _worker_pool,
     config_hash,
     exit_code_for,
     main,
@@ -166,20 +164,56 @@ def test_parallel_jobs_match_serial(tmp_path):
     assert ra == rb
 
 
-def test_jobs_workers_pin_blas_threads(monkeypatch):
-    for name in BLAS_THREAD_VARS:
-        monkeypatch.delenv(name, raising=False)
-    monkeypatch.setenv("OMP_NUM_THREADS", "3")
-    with _worker_pool(2) as pool:
-        seen = [pool.submit(os.getenv, name).result(timeout=60) for name in BLAS_THREAD_VARS]
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def child_env(**preset):
+    """The environment for a child Python that imports saris from this
+    checkout, with the BLAS thread variables unset except those in `preset`."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
+    env.update(preset)
+    return env
+
+
+@pytest.mark.parametrize(
+    "preset, want", [({}, "1 1 1"), ({"OMP_NUM_THREADS": "3"}, "1 3 1")], ids=["unset", "preset"]
+)
+def test_import_defaults_blas_threads_to_one(preset, want):
     # Unset variables default to one thread; a value the user chose is kept.
-    assert dict(zip(BLAS_THREAD_VARS, seen)) == {
-        "OPENBLAS_NUM_THREADS": "1",
-        "OMP_NUM_THREADS": "3",
-        "MKL_NUM_THREADS": "1",
-    }
-    assert "OPENBLAS_NUM_THREADS" not in os.environ
-    assert "MKL_NUM_THREADS" not in os.environ
+    code = f"import os, saris; print(*(os.environ[n] for n in {BLAS_THREAD_VARS!r}))"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=child_env(**preset), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == want
+
+
+def test_jobs_match_serial_with_blas_threads_unset(tmp_path):
+    """`--jobs 1` and `--jobs 2` write the same outputs when the user sets no
+    BLAS thread variable.
+
+    The default desk deployment is large enough for a serial run at the BLAS
+    default thread count to differ from one-thread workers in the last bits.
+    On a single-core host that default is one thread, so there this test
+    cannot fail.
+    """
+    outs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        done = subprocess.run(
+            [sys.executable, "-m", "saris.cli", "run", "--trials", "4", "--algo", "all",
+             "--epsilon", "1e-9", "--max-iter", "20", "--jobs", jobs, "--out", str(out)],
+            env=child_env(), capture_output=True, text=True, timeout=600,
+        )
+        assert done.returncode == 0, done.stderr
+        outs.append(out)
+    a, b = outs
+    assert (a / "trace.csv").read_bytes() == (b / "trace.csv").read_bytes()
+    ra = drop_column(*read_csv(a / "runs.csv"), "wall_time_s")
+    rb = drop_column(*read_csv(b / "runs.csv"), "wall_time_s")
+    assert ra == rb
 
 
 def test_cli_seed_and_trials_override(tmp_path):
@@ -442,10 +476,9 @@ def test_sweep_rejects_unknown_variable(tmp_path):
 def test_cli_import_defers_scipy_special():
     # Every `saris` command pays for `import saris.cli`. The coupling kernel
     # loads scipy.special (~75 ms) on its first call, not at import.
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
     done = subprocess.run(
         [sys.executable, "-c", "import sys, saris.cli; print('scipy.special' in sys.modules)"],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=child_env(), capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"

@@ -297,14 +297,30 @@ def mixed_deployment():
     return dipoles
 
 
+def many_kinds_deployment():
+    """48 dipoles on an 8 x 6 grid, each of its own (z, length) kind: one
+    geometry table of 48 * 49 / 2 = 1176 geometries."""
+    heights = np.linspace(-0.4, 0.4, 6) * LAM
+    lengths = np.linspace(0.3, 0.65, 8) * LAM
+    roles = [Role.TRANSMITTER] * 2 + [Role.RECEIVER] * 2 + [Role.ESO] * 36 + [Role.RIS_CELL] * 8
+    return [
+        Dipole((0.3 * LAM * (i % 8), 0.3 * LAM * (i // 8), heights[i // 8]),
+               lengths[i % 8], RADIUS, role)
+        for i, role in enumerate(roles)
+    ]
+
+
 def test_mixed_geometry_assembly_is_bitwise_pairwise():
-    dipoles = mixed_deployment()
-    full = assemble_impedances(dipoles, LAM).full_matrix()
-    assert full.shape[0] * (full.shape[0] + 1) // 2 > _PAIRS_PER_CALL
-    order = in_assembly_order(dipoles)
-    pairwise = np.array([[mutual_impedance(a, b, LAM) for b in order] for a in order])
-    assert np.array_equal(full, pairwise)
-    assert np.array_equal(full, full.T)
+    mixed, many_kinds = mixed_deployment(), many_kinds_deployment()
+    assert len(mixed) * (len(mixed) + 1) // 2 > _PAIRS_PER_CALL
+    kinds = len({(d.position[2], d.length) for d in many_kinds})
+    assert kinds * (kinds + 1) // 2 > 1024
+    for dipoles in (mixed, many_kinds):
+        full = assemble_impedances(dipoles, LAM).full_matrix()
+        order = in_assembly_order(dipoles)
+        pairwise = np.array([[mutual_impedance(a, b, LAM) for b in order] for a in order])
+        assert np.array_equal(full, pairwise)
+        assert np.array_equal(full, full.T)
 
 
 def in_assembly_order(dipoles):
@@ -315,13 +331,11 @@ def in_assembly_order(dipoles):
 @pytest.mark.parametrize("deployment", ["mixed", "desk"])
 def test_assembly_does_not_depend_on_slice_size(monkeypatch, deployment):
     # One pair per slice broadcasts every geometry's column; larger slices
-    # gather theirs, or broadcast where a slice holds one geometry. Small
-    # geometry blocks pad their columns to the table's widest.
+    # gather theirs, or broadcast where a slice holds one geometry.
     dipoles = mixed_deployment() if deployment == "mixed" else generate(ScenarioConfig(), 0)
     matrices = []
     for size in (1, 7, 4096, 10**6):
         monkeypatch.setattr(saris.dipoles, "_PAIRS_PER_CALL", size)
-        monkeypatch.setattr(saris.dipoles, "_GEOMETRIES_PER_BLOCK", size)
         matrices.append(assemble_impedances(dipoles, LAM).full_matrix())
     for full in matrices[1:]:
         assert np.array_equal(full, matrices[0])

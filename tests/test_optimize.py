@@ -43,8 +43,7 @@ def random_channel(rng, l_rx=3, m_tx=4):
 
 def initial_state(f, config):
     """Optimizer state at the starting point, without running the loop."""
-    x = np.clip(config.initial_reactances(f.n_ris), *config.q_interval)
-    loads = RisLoads(config.r0, x, config.q_interval)
+    loads = RisLoads(config.r0, config.initial_reactances(f.n_ris), config.q_interval)
     ev = LoadEvaluation(f, loads)
     w = optimal_precoder(ev.h, config.power, config.sigma_n2)
     return OptimizerState(W=w, evaluation=ev, g_norm=_power_norm(ev.solve, f.n_ris)[0])
@@ -502,8 +501,6 @@ def test_optimizer_config_validation():
         OptimizerConfig(epsilon=0.0)
     with pytest.raises(ValueError):
         OptimizerConfig(max_iter=0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(x_init=np.zeros(3)).initial_reactances(4)
     # Values that used to pass construction and fail only inside the loop.
     # Each message starts with the field name, which the CLI maps to a flag.
     for field, bad in [
@@ -525,7 +522,6 @@ def test_optimizer_config_validation():
             OptimizerConfig(**{field: bad})
     assert OptimizerConfig(max_iter=np.int64(7)).max_iter == 7
     assert OptimizerConfig(q_interval=(-50.0, -50.0), r0=0.0).r0 == 0.0
-    assert_allclose(OptimizerConfig(x_init=-100.0).initial_reactances(3), -100.0)
     mid = OptimizerConfig().initial_reactances(2)
     assert_allclose(mid, 0.5 * (-302.50 - 19.66))
 
@@ -708,10 +704,6 @@ def test_tolerance_compares_consecutive_trace_entries(epsilon):
     assert on_tolerance > 0
 
 
-def initial_reactances_of(f, opt):
-    return np.clip(opt.initial_reactances(f.n_ris), *opt.q_interval)
-
-
 def test_zero_step_stops_at_once(monkeypatch):
     _, f = folded_scenario(tiny_config())
     monkeypatch.setattr(
@@ -725,7 +717,7 @@ def test_zero_step_stops_at_once(monkeypatch):
     assert state.halving_trace == [0]
     assert len(state.smse_trace) == 2
     assert_trace_lengths(state)
-    assert np.array_equal(state.loads.x, initial_reactances_of(f, opt))
+    assert np.array_equal(state.loads.x, opt.initial_reactances(f.n_ris))
 
 
 def test_halving_cap_stops_with_the_loads_unchanged(monkeypatch):
@@ -749,7 +741,7 @@ def test_halving_cap_stops_with_the_loads_unchanged(monkeypatch):
     assert state.converged
     assert state.halving_trace == [60]
     assert len(evaluations) == 62
-    assert np.array_equal(state.loads.x, initial_reactances_of(f, opt))
+    assert np.array_equal(state.loads.x, opt.initial_reactances(f.n_ris))
     assert state.smse_trace[1] == state.smse_trace[0]
     assert_trace_lengths(state)
 
@@ -769,12 +761,6 @@ def test_empty_surface_takes_the_zero_step_exit():
         assert state.final_sum_rate == smse_and_rate(f.H_d, w, opt.sigma_n2)[1]
 
 
-def test_nan_initial_reactance_is_rejected_as_bad_input():
-    _, f = folded_scenario(tiny_config())
-    with pytest.raises(ValueError, match="finite"):
-        saris_optimize(f, OptimizerConfig(x_init=np.nan))
-
-
 def test_loop_is_deterministic():
     _, _, a = run_tiny(max_iter=20)
     _, _, b = run_tiny(max_iter=20)
@@ -782,15 +768,6 @@ def test_loop_is_deterministic():
     assert a.rate_trace == b.rate_trace
     assert np.array_equal(a.loads.x, b.loads.x)
     assert np.array_equal(a.W, b.W)
-
-
-def test_out_of_interval_start_is_clipped():
-    config = tiny_config()
-    _, f = folded_scenario(config)
-    lo = OptimizerConfig().q_interval[0]
-    a = saris_optimize(f, OptimizerConfig(x_init=-1e6, max_iter=1))
-    b = saris_optimize(f, OptimizerConfig(x_init=lo, max_iter=1))
-    assert a.smse_trace[0] == b.smse_trace[0]
 
 
 def test_mismatched_equals_matched_without_coupling():
