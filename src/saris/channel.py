@@ -42,6 +42,10 @@ class SingularBlockError(RuntimeError):
             f"(condition estimate {cond:.3e} exceeds {COND_LIMIT:.1e})"
         )
 
+    def __reduce__(self):
+        # Rebuilt from its fields, so a worker process can send it back.
+        return SingularBlockError, (self.block, self.cond)
+
 
 @dataclass
 class RisLoads:
@@ -97,7 +101,8 @@ class FoldedChannel:
     N x N |A| is made. Their six source blocks are made read-only and the
     fields cannot be rebound, so none of them goes stale. Only A is
     Fortran-ordered; the source blocks keep the layout they are given, and
-    from `fold_esos` Z_SS is a read-only view of `z.Z`.
+    from `fold_esos` Z_SS is a read-only view of `z.Z`. A surface has at
+    least one cell, so an empty Z_SS raises ValueError.
     """
 
     Z_ROT: np.ndarray
@@ -114,6 +119,8 @@ class FoldedChannel:
     A_off: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        if not self.Z_SS.size:
+            raise ValueError("the surface has no RIS cell")
         for block in (self.Z_ROS, self.Z_SOT, self.Z_RL, self.Z_TG, self.Z_SS, self.Z_SOS):
             block.flags.writeable = False
         v = self.Z_RL @ self.Z_ROS
@@ -258,30 +265,24 @@ class LoadEvaluation:
         if n != f.n_ris:
             raise ValueError(f"loads have {n} entries, channel expects {f.n_ris}")
         self.loads = loads
-        self._lu = None
-        if n:
-            s = _plus_diagonal(f.A, loads.z_diagonal)
-            anorm = np.maximum.reduce(f.A_off + np.abs(s.diagonal()))
-            self._lu = _guarded_lu(s, "Z_SS + Z_SOS + Z_RIS", anorm)
+        s = _plus_diagonal(f.A, loads.z_diagonal)
+        anorm = np.maximum.reduce(f.A_off + np.abs(s.diagonal()))
+        self._lu = _guarded_lu(s, "Z_SS + Z_SOS + Z_RIS", anorm)
         self.v = f.v
         self.a_mat = self.solve(f.B)
         self.h = f.H_d - self.v @ self.a_mat
 
     def solve(self, b: np.ndarray, trans: int = 0) -> np.ndarray:
         """S^-1 b (trans=0), S^-T b (trans=1) or S^-H b (trans=2) as a new
-        array. A block goes through getrs, a vector through `solve_vector`."""
-        if self._lu is None:
-            return b
-        if b.ndim > 1:
-            return _lu_solve(self._lu, b, trans)
-        return self.solve_vector(b, trans)
+        array, through getrs; it serves blocks, and `solve_vector` serves
+        vectors."""
+        return _lu_solve(self._lu, b, trans)
 
     def solve_vector(self, b: np.ndarray, trans: int) -> np.ndarray:
-        """`solve` for a vector b of a non-empty surface, without its
-        dispatch: the row interchanges and two BLAS trsv calls, because getrs
-        packs the whole factor for trsm on every call, which costs several
-        triangular solves at N = 256. The power iteration for ||S^-1|| calls
-        it directly."""
+        """`solve` for a vector b: the row interchanges and two BLAS trsv
+        calls, because getrs packs the whole factor for trsm on every call,
+        which costs several triangular solves at N = 256. The power iteration
+        for ||S^-1|| calls it."""
         lu, piv = self._lu
         # With S = P L U, S^-1 b = U^-1 L^-1 P^T b and S^-T b = P L^-T U^-T b
         # (likewise for ^-H). trsv(a, x, incx, offx, lower, trans, diag,

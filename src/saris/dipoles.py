@@ -445,10 +445,10 @@ class ImpedanceSet:
         """The port matrix Z itself, in port order [TX, RX, ESO, RIS]."""
         return self.Z
 
-    def validate(self, tol: float = 1e-10):
+    def validate(self):
         """Raise ValueError unless Z is square, the partition fits it, each
         termination diagonal has one entry per port it closes, and Z is
-        reciprocal: ||Z - Z^T|| / ||Z|| < tol in the Frobenius norm."""
+        reciprocal: ||Z - Z^T|| / ||Z|| < 1e-10 in the Frobenius norm."""
         shape = self.Z.shape
         if len(shape) != 2 or shape[0] != shape[1]:
             raise ValueError(f"Z has shape {shape}, expected a square matrix")
@@ -467,25 +467,18 @@ class ImpedanceSet:
         if not all(np.array_equal(self.Z[b], self.Z[:, b].T) for b in blocks):
             diff = [np.linalg.norm(self.Z[b] - self.Z[:, b].T) for b in blocks]
             asym = np.linalg.norm(diff) / np.linalg.norm(self.Z)
-            if asym >= tol:
-                raise ValueError(f"impedance matrix asymmetry {asym:.3e} exceeds {tol:.1e}")
+            if asym >= 1e-10:
+                raise ValueError(f"impedance matrix asymmetry {asym:.3e} exceeds 1.0e-10")
 
 
 def _termination_diagonal(value, count, name) -> np.ndarray:
-    """Diagonal of a termination given as a scalar, its diagonal, or a square
-    diagonal matrix; a NaN entry is rejected."""
+    """Diagonal of a termination given as a scalar or one value per port; a
+    NaN entry is rejected."""
     value = np.array(value, dtype=complex)
     if value.ndim == 0:
         value = np.full(count, value)
-    elif value.ndim == 1:
-        if value.shape[0] != count:
-            raise ValueError(f"{name} has {value.shape[0]} entries, expected {count}")
-    elif value.shape != (count, count):
-        raise ValueError(f"{name} has shape {value.shape}, expected ({count}, {count})")
-    else:
-        if not np.array_equal(value, np.diag(np.diag(value)), equal_nan=True):
-            raise ValueError(f"{name} must be diagonal")
-        value = np.diag(value)
+    elif value.shape != (count,):
+        raise ValueError(f"{name} has shape {value.shape}, expected a scalar or ({count},)")
     if np.isnan(value).any():
         raise ValueError(f"{name} has a NaN entry")
     return value
@@ -505,9 +498,8 @@ def assemble_impedances(
     becomes `ImpedanceSet.Z` as it is, with no block copies. Entries on and
     above the diagonal are written chunk by chunk from the pair routine that
     `mutual_impedance` uses, so they equal its values, and are then mirrored
-    below it; beyond Z, assembly holds a few MB. Each termination (z_g, z_l, z_us) is a
-    scalar, one value per port, or a diagonal matrix, and is kept as its
-    diagonal.
+    below it; beyond Z, assembly holds a few MB. Each termination (z_g, z_l,
+    z_us) is a scalar or one value per port, and is kept as a diagonal.
     """
     groups: dict[Role, list[Dipole]] = {role: [] for role in Role}
     for dip in dipoles:

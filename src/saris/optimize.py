@@ -187,8 +187,6 @@ def _power_norm(apply, n: int, v0=None):
     returns A v for trans=0 and A^H v for trans=2. Returns (norm, vector) so
     callers can warm-start the next estimate. The optimizer takes ||S^-1||
     with `LoadEvaluation.solve_vector` as apply."""
-    if n == 0:
-        return 0.0, np.zeros(0, dtype=complex)
     if v0 is None or not _any(v0):
         v = np.ones(n, dtype=complex) / np.sqrt(n)
     else:
@@ -230,10 +228,6 @@ def solve_delta(ds: DeltaStep, W: np.ndarray, sigma_n2: float, g_norm: float) ->
     scaled so its largest entry sits exactly at the trust bound 1/g_norm.
     """
     n, l_rx = ds.a_mat.shape[0], ds.h.shape[0]
-    if n == 0:
-        # BLAS and LAPACK wrappers reject empty operands, and an empty
-        # surface has no S^-1 to bound (g_norm is 0).
-        return np.zeros(0, dtype=complex)
     if not g_norm > 0:
         raise ValueError(f"g_norm must be positive, got {g_norm}")
     # With h_r,l = u_l * a_mat, T = [h_r,l W]_l (N x L^2) has column (l, l')
@@ -319,7 +313,7 @@ def saris_optimize(f: FoldedChannel, config: OptimizerConfig) -> OptimizerState:
         # RisLoads gives every cell the one resistance r0, so comparing it
         # covers the real part of the whole load diagonal.
         x = state.loads.x
-        ok = state.loads.r0 == r0 and (not x.size or (_min(x) >= lo and _max(x) <= hi))
+        ok = state.loads.r0 == r0 and _min(x) >= lo and _max(x) <= hi
         state.feasible_trace.append(bool(ok))
 
     record_point()
@@ -352,7 +346,7 @@ def saris_optimize(f: FoldedChannel, config: OptimizerConfig) -> OptimizerState:
                 break
             step = step / 2.0
             halvings += 1
-        state.guard_trace.append(float(_max(np.abs(step), initial=0.0) * g_norm))
+        state.guard_trace.append(float(_max(np.abs(step)) * g_norm))
         state.halving_trace.append(halvings)
 
         if cand is not None:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from numpy.testing import assert_allclose
 
 from saris import channel
 from saris.channel import (
-    FoldedChannel,
     LoadEvaluation,
     RisLoads,
     SingularBlockError,
@@ -155,12 +155,20 @@ def test_no_scatterers_makes_models_identical():
     )
 
 
-def test_no_ris_cells_reduces_to_direct_term():
+def test_a_surface_without_cells_is_rejected():
+    # Every folded channel passes FoldedChannel's check, so no later stage
+    # meets N = 0: not the fold, not the interaction-free model, not a
+    # replaced Z_SS.
     rng = np.random.default_rng(9)
-    z = random_impedance_set(rng, n_ris=0)
-    f = fold_esos(z)
-    loads = RisLoads(0.2, np.empty(0), Q_TABLE)
-    assert np.array_equal(end_to_end_channel(f, loads), f.H_d)
+    empty = random_impedance_set(rng, n_ris=0)
+    with pytest.raises(ValueError, match="no RIS cell"):
+        fold_esos(empty)
+    f = fold_esos(random_impedance_set(rng))
+    no_cells = np.zeros((0, 0), dtype=complex)
+    with pytest.raises(ValueError, match="no RIS cell"):
+        interaction_free(SimpleNamespace(**{**vars(f), "Z_SS": no_cells}), empty)
+    with pytest.raises(ValueError, match="no RIS cell"):
+        dataclasses.replace(f, Z_SS=no_cells)
 
 
 def test_scalar_network_closed_form():

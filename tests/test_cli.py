@@ -4,6 +4,7 @@ import csv
 import importlib
 import json
 import os
+import pickle
 import subprocess
 import sys
 from dataclasses import replace
@@ -278,6 +279,38 @@ def test_numerical_breakdown_reports_exit_four(tmp_path, capsys):
     code = run_cli("run", "--config", str(cfg), "--trials", "1", "--out", str(tmp_path / "out"))
     assert code == EXIT_NUMERICAL
     assert "error:" in capsys.readouterr().err
+
+
+def test_numerical_breakdown_in_a_worker_reports_exit_four(tmp_path, capsys):
+    # The worker's SingularBlockError crosses the process boundary by pickle
+    # and must arrive as itself, not as a BrokenProcessPool.
+    cfg = write_config(tmp_path, Z_L=0.0)
+    code = run_cli(
+        "run", "--config", str(cfg), "--trials", "2", "--jobs", "2", "--out", str(tmp_path / "out")
+    )
+    assert code == EXIT_NUMERICAL
+    assert "error: block Z_L is numerically singular" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [
+        SingularBlockError("Z_L", np.inf),
+        SingularBlockError("Z_TT + Z_G", 3.5e13),
+        GeometryError("dipoles 2 and 5 overlap"),
+        ConfigError("line 3: unknown key 'Q'"),
+        DegenerateChannelError("channel matrix is zero"),
+    ],
+    ids=["singular_inf", "singular_finite", "geometry", "config", "degenerate"],
+)
+def test_errors_survive_pickling(exc):
+    # What a worker process raises reaches the parent through pickle.
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is type(exc)
+    assert str(back) == str(exc)
+    assert back.args == exc.args
+    assert vars(back) == vars(exc)
+    assert exit_code_for(back) == exit_code_for(exc)
 
 
 def test_unknown_algo_is_a_usage_error(tmp_path):

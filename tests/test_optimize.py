@@ -155,7 +155,7 @@ def test_load_evaluation_matches_dense_inverse():
     v = f.Z_RL @ f.Z_ROS
     assert rel_err(ev.solve(v.T, 1).T, v @ g) <= 1e-12
     # The power iteration on the LU factors gives ||S^-1||.
-    assert_allclose(_power_norm(ev.solve, f.n_ris)[0], np.linalg.norm(g, 2), rtol=1e-5)
+    assert_allclose(_power_norm(ev.solve_vector, f.n_ris)[0], np.linalg.norm(g, 2), rtol=1e-5)
 
 
 def traced_peak_blocks(fn, n):
@@ -209,7 +209,7 @@ def test_in_place_steps_leave_their_inputs_untouched():
     w_new, _ = _precoder_solve(ds.h, 1.0, 1e-11)
     assert not np.shares_memory(w_new, ds.h)
     smse_and_rate(ds.h, w, 1e-11)
-    _, vec = _power_norm(ev.solve, 12, v0=v0)
+    _, vec = _power_norm(ev.solve_vector, 12, v0=v0)
     assert not np.shares_memory(vec, v0)
     for trans in (0, 1, 2):
         assert not np.shares_memory(ev.solve_vector(v0, trans), v0)
@@ -248,7 +248,7 @@ def test_vector_solves_with_interchanges_match_dense_inverse():
     for trans, op in enumerate((g, g.T, g.conj().T)):
         for _ in range(3):
             v = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-            got = ev.solve(v, trans)
+            got = ev.solve_vector(v, trans)
             assert got.shape == (12,)
             assert rel_err(got, op @ v) <= 1e-12
             assert rel_err(got, ev.solve(v[:, None], trans)[:, 0]) <= 1e-12
@@ -264,7 +264,7 @@ def test_vector_solve_leaves_its_operand_and_the_factors_untouched():
     v = rng.standard_normal(12) + 1j * rng.standard_normal(12)
     before = (v.copy(), ev._lu[0].copy(), ev._lu[1].copy())
     for trans in (0, 1, 2):
-        got = ev.solve(v, trans)
+        got = ev.solve_vector(v, trans)
         assert not np.shares_memory(got, v)
         for want, after in zip(before, (v, *ev._lu)):
             assert np.array_equal(after, want)
@@ -277,18 +277,10 @@ def test_warm_started_inverse_norm_matches_dense_with_interchanges():
     v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     want = np.linalg.norm(g, 2)
     for start in (None, v0):
-        got, vec = _power_norm(ev.solve, n, v0=start)
+        got, vec = _power_norm(ev.solve_vector, n, v0=start)
         assert_allclose(got, want, rtol=1e-5)
         # The returned vector warm-starts the next estimate.
-        assert_allclose(_power_norm(ev.solve, n, v0=vec)[0], want, rtol=1e-5)
-
-
-def test_power_norm_of_an_empty_surface():
-    f = fold_esos(random_impedance_set(np.random.default_rng(13), n_ris=0))
-    ev = LoadEvaluation(f, RisLoads(0.2, np.zeros(0), Q_TABLE))
-    norm, vec = _power_norm(ev.solve, 0)
-    assert norm == 0.0
-    assert vec.shape == (0,)
+        assert_allclose(_power_norm(ev.solve_vector, n, v0=vec)[0], want, rtol=1e-5)
 
 
 @pytest.mark.parametrize("deployment", ["desk", "pivoting"])
@@ -465,16 +457,6 @@ def test_delta_zero_rhs_returns_zero():
     delta = solve_delta(ds, np.ones((m, 1), dtype=complex), 1e-11, 1.0)
     assert not delta.any()
     assert delta.shape == (n,)
-
-
-def test_delta_solve_without_cells_returns_empty():
-    ds = DeltaStep(
-        u=np.zeros((1, 0), dtype=complex),
-        a_mat=np.zeros((0, 2), dtype=complex),
-        h=np.ones((1, 2), dtype=complex),
-    )
-    delta = solve_delta(ds, np.ones((2, 1), dtype=complex), 1e-11, 1.0)
-    assert delta.shape == (0,)
 
 
 def test_state_loads_cannot_drift_from_the_evaluation():
@@ -744,21 +726,6 @@ def test_halving_cap_stops_with_the_loads_unchanged(monkeypatch):
     assert np.array_equal(state.loads.x, opt.initial_reactances(f.n_ris))
     assert state.smse_trace[1] == state.smse_trace[0]
     assert_trace_lengths(state)
-
-
-def test_empty_surface_takes_the_zero_step_exit():
-    z = random_impedance_set(np.random.default_rng(13), n_ris=0)
-    f = fold_esos(z)
-    opt = OptimizerConfig()
-    w = optimal_precoder(f.H_d, opt.power, opt.sigma_n2)
-    for state in (saris_optimize(f, opt), mismatched_optimize(f, z, opt)):
-        assert state.iteration == 1
-        assert state.converged
-        assert state.guard_trace == [0.0]
-        assert state.halving_trace == [0]
-        assert_trace_lengths(state)
-        assert all(state.feasible_trace)
-        assert state.final_sum_rate == smse_and_rate(f.H_d, w, opt.sigma_n2)[1]
 
 
 def test_loop_is_deterministic():
