@@ -12,7 +12,7 @@ same evaluation path so that model-gap comparisons are apples to apples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import get_blas_funcs, get_lapack_funcs
@@ -50,7 +50,8 @@ class SingularBlockError(RuntimeError):
 @dataclass
 class RisLoads:
     """Diagonal RIS termination r0 + j x_n with reactances confined to an
-    interval."""
+    interval; a surface has at least one cell, so an empty x raises
+    ValueError."""
 
     r0: float
     x: np.ndarray
@@ -60,6 +61,8 @@ class RisLoads:
         x = self.x
         if not (type(x) is np.ndarray and x.ndim == 1 and x.dtype == np.float64):
             self.x = x = np.atleast_1d(np.asarray(x, dtype=float))
+        if not x.size:
+            raise ValueError("the surface has no RIS cell")
         lo, hi = self.q_interval
         if not lo <= hi:
             raise ValueError(f"empty reactance interval [{lo}, {hi}]")
@@ -68,12 +71,12 @@ class RisLoads:
         # so the range check alone would pass it. The ufunc reductions give
         # what x.min() and x.max() give, NaN included, without their method
         # wrappers.
-        x_min, x_max = (np.minimum.reduce(x), np.maximum.reduce(x)) if x.size else (0.0, 0.0)
+        x_min, x_max = np.minimum.reduce(x), np.maximum.reduce(x)
         if not (math.isfinite(self.r0) and math.isfinite(x_min) and math.isfinite(x_max)):
             raise ValueError("load resistance and reactances must be finite")
         if self.r0 < 0:
             raise ValueError(f"load resistance must be non-negative, got {self.r0}")
-        if x.size and (x_min < lo or x_max > hi):
+        if x_min < lo or x_max > hi:
             raise ValueError(f"reactance outside [{lo}, {hi}]: range [{x_min}, {x_max}]")
 
     @property
@@ -305,17 +308,13 @@ def end_to_end_channel(f: FoldedChannel, loads: RisLoads) -> np.ndarray:
 
 def interaction_free(f: FoldedChannel, z: ImpedanceSet) -> FoldedChannel:
     """Folded quantities of the additive model that ignores the coupling
-    between RIS cells and scatterers. Shares Z_ROT (and hence H_d) and Z_SS
-    with the full model; the RIS-dependent term reverts to the bare blocks.
-    Its Z_SOS is a read-only zero view with no N x N buffer behind it."""
-    n = z.n_ris
-    return FoldedChannel(
-        Z_ROT=f.Z_ROT,
+    between RIS cells and scatterers: the full model `f` with its three
+    scatterer-coupled blocks replaced by the bare ones. It shares every other
+    block, Z_ROT (and hence H_d) and Z_SS included. Its Z_SOS is a read-only
+    zero view with no N x N buffer behind it."""
+    return replace(
+        f,
         Z_ROS=-z.Z_RS,
-        Z_SOS=np.broadcast_to(np.zeros((), dtype=complex), (n, n)),
+        Z_SOS=np.broadcast_to(np.zeros((), dtype=complex), f.Z_SS.shape),
         Z_SOT=-z.Z_ST,
-        Z_RL=f.Z_RL,
-        Z_TG=f.Z_TG,
-        H_d=f.H_d,
-        Z_SS=f.Z_SS,
     )

@@ -15,8 +15,9 @@ vanish come out as zeros: half-wave dipoles side by side, the case of every
 generated pair, weight three integrals, and no geometry weights more than
 eighteen. Assembly then streams the upper triangle of the port matrix in
 fixed-size chunks of pairs, in row-major order, and writes each chunk's
-values straight into the matrix; no array spans all pairs. A cheap first
-pass over the chunks checks the wire separations before any kernel work.
+values straight into the matrix, above and below its diagonal; no array
+spans all pairs. The same walk keeps the few pairs closer than four wire
+radii, whose separations are checked once it ends.
 Each chunk evaluates every argument of the table, which is as wide as its
 widest geometry; a geometry narrower than that is padded at zero weight.
 A chunk whose pairs share one geometry, as every chunk of a generated
@@ -42,9 +43,8 @@ ETA0 = 376.730313668
 # pages against ~8.1k.
 _PAIRS_PER_CALL = 4096
 
-# Rows per block when assembly mirrors Z's upper triangle into its lower one
-# and when `ImpedanceSet.validate` compares Z with its transpose; their
-# temporaries stay within this many rows of Z.
+# Rows per block when `ImpedanceSet.validate` compares Z with its transpose;
+# its temporaries stay within this many rows of Z.
 _ROWS_PER_BLOCK = 64
 
 
@@ -267,24 +267,12 @@ def _upper_triangle(k: int):
         yield i, p - start[i] + i
 
 
-def _check_separations(x, y, z, radius, half, chunks):
-    """Raise GeometryError if two distinct dipoles of a pair in `chunks`
-    overlap or their wire bodies intersect (collinear with overlapping axial
-    extents). Overlaps are checked over all pairs before wire bodies, and each
-    error names the first offending pair in chunk order."""
-    # Either test fails only where rho < r_i + r_j <= 2 max r, so the pass
-    # over the chunks keeps only the pairs within 4 max r: far enough out that
-    # its rounded squared distance drops no pair the tests could reject.
-    reach = (4.0 * radius.max()) ** 2
-    ip, jp = [], []
-    for i, j in chunks:
-        dx, dy = x[i] - x[j], y[i] - y[j]
-        q = np.flatnonzero(dx * dx + dy * dy < reach)
-        q = q[i[q] != j[q]]
-        ip.append(i[q])
-        jp.append(j[q])
-    ip, jp = np.concatenate(ip), np.concatenate(jp)
-    rho = np.hypot(x[ip] - x[jp], y[ip] - y[jp])
+def _check_separations(ip, jp, rho, z, radius, half):
+    """Raise GeometryError if two distinct dipoles (ip[q], jp[q]) at horizontal
+    separation rho[q] overlap or their wire bodies intersect (collinear with
+    overlapping axial extents). Overlaps are checked over all pairs before
+    wire bodies, and each error names the first offending pair in the order
+    given."""
     rsum = radius[ip] + radius[jp]
     close = np.sqrt(rho**2 + (z[ip] - z[jp]) ** 2) < rsum
     if np.any(close):
@@ -306,16 +294,17 @@ def _check_separations(x, y, z, radius, half, chunks):
 
 def _pair_impedances(dipoles: list[Dipole], wavelength: float, chunks):
     """Impedances in ohms of pairs of `dipoles`, yielded as (i, j, z) for each
-    chunk (i, j) of index arrays that `chunks()` yields; a pair with i == j is
-    that dipole's self term, with the field evaluated one wire radius off the
-    axis.
+    chunk (i, j) of index arrays in the iterable `chunks`; a pair with i == j
+    is that dipole's self term, with the field evaluated one wire radius off
+    the axis.
 
-    `chunks()` is walked twice: first to check every pair's separation, before
-    any kernel work, then to evaluate. The per-dipole tables and the geometry
-    table, one column per pair of (z, length) kinds, are built once. Of each
-    pair, the dipole with the larger (length, z) is the source, so both orders
-    of a pair give the same result bit for bit, and a pair's result does not
-    depend on the chunk it shares.
+    `chunks` is walked once. The walk keeps the distinct pairs that sit close
+    enough to touch, and after its last chunk `_check_separations` tests them
+    in walk order. The per-dipole tables and the geometry table, one column
+    per pair of (z, length) kinds, are built once. Of each pair, the dipole
+    with the larger (length, z) is the source, so both orders of a pair give
+    the same result bit for bit, and a pair's result does not depend on the
+    chunk it shares.
     """
     if not wavelength > 0:
         raise ValueError(f"wavelength must be positive, got {wavelength}")
@@ -323,7 +312,6 @@ def _pair_impedances(dipoles: list[Dipole], wavelength: float, chunks):
     x, y, zc = pos.T.copy()
     length = np.array([d.length for d in dipoles])
     radius = np.array([d.wire_radius for d in dipoles])
-    _check_separations(x, y, zc, radius, 0.5 * length, chunks())
 
     # A pair's axial geometry is fixed by the (z, length) kinds of its source
     # and test. geometry[a, b] numbers the geometry of kinds a and b in
@@ -339,25 +327,23 @@ def _pair_impedances(dipoles: list[Dipole], wavelength: float, chunks):
         kinds[t, 0] - kinds[s, 0], 0.5 * kinds[s, 1], 0.5 * kinds[t, 1], wavelength
     )
     k = 2.0 * np.pi / wavelength
-    for i, j in chunks():
+    # Either separation test fails only where rho < r_i + r_j <= 2 max r, so
+    # keeping the pairs within 4 max r drops none that a test could reject.
+    reach = 4.0 * radius.max()
+    near = []
+    for i, j in chunks:
         rho = np.hypot(x[i] - x[j], y[i] - y[j])
+        q = np.flatnonzero(rho < reach)
+        q = q[i[q] != j[q]]
+        near.append((i[q], j[q], rho[q]))
         own = np.flatnonzero(i == j)
         rho[own] = radius[i[own]]
         # A chunk of one geometry broadcasts its column instead of gathering.
         c = geometry[kind[i], kind[j]] if len(kinds) > 1 else geometry[0]
         c = c[:1] if c.min() == c.max() else c
         yield i, j, _coupling(rho, offsets[:, c], coefs[:, :, c], k)
-
-
-def _mirror_upper(z: np.ndarray):
-    """Copy the strict upper triangle of the square z into its lower one, in
-    blocks of _ROWS_PER_BLOCK rows."""
-    for lo in range(0, len(z), _ROWS_PER_BLOCK):
-        rows = slice(lo, lo + _ROWS_PER_BLOCK)
-        z[rows, :lo] = z[:lo, rows].T
-        block = z[rows, rows]
-        lower = np.tri(len(block), k=-1, dtype=bool)
-        block[lower] = block.T[lower]
+    ip, jp, rho = (np.concatenate(v) for v in zip(*near))
+    _check_separations(ip, jp, rho, zc, radius, 0.5 * length)
 
 
 def mutual_impedance(a: Dipole, b: Dipole, wavelength: float) -> complex:
@@ -368,7 +354,7 @@ def mutual_impedance(a: Dipole, b: Dipole, wavelength: float) -> complex:
     symmetric in its arguments.
     """
     pair = (np.array([0]), np.array([0 if a.same_geometry(b) else 1]))
-    ((_, _, z),) = _pair_impedances([a, b], wavelength, lambda: [pair])
+    ((_, _, z),) = _pair_impedances([a, b], wavelength, [pair])
     return complex(z[0])
 
 
@@ -495,11 +481,13 @@ def assemble_impedances(
 
     Dipoles may arrive in any order; they are grouped by role with ordering
     preserved inside each role. The K x K port matrix is filled once and
-    becomes `ImpedanceSet.Z` as it is, with no block copies. Entries on and
-    above the diagonal are written chunk by chunk from the pair routine that
-    `mutual_impedance` uses, so they equal its values, and are then mirrored
-    below it; beyond Z, assembly holds a few MB. Each termination (z_g, z_l,
-    z_us) is a scalar or one value per port, and is kept as a diagonal.
+    becomes `ImpedanceSet.Z` as it is, with no block copies. One walk over
+    the pairs on and above the diagonal computes them chunk by chunk with the
+    pair routine that `mutual_impedance` uses, so they equal its values, and
+    writes each at (i, j) and (j, i); beyond Z, assembly holds a few MB. A
+    GeometryError for touching wires is raised when the walk ends. Each
+    termination (z_g, z_l, z_us) is a scalar or one value per port, and is
+    kept as a diagonal.
     """
     groups: dict[Role, list[Dipole]] = {role: [] for role in Role}
     for dip in dipoles:
@@ -521,9 +509,9 @@ def assemble_impedances(
 
     full = np.empty((kk, kk), dtype=complex)
     flat = full.reshape(-1)
-    for i, j, z in _pair_impedances(ordered, wavelength, lambda: _upper_triangle(kk)):
+    for i, j, z in _pair_impedances(ordered, wavelength, _upper_triangle(kk)):
         flat[i * kk + j] = z
-    _mirror_upper(full)
+        flat[j * kk + i] = z
 
     zset = ImpedanceSet(
         Z=full,

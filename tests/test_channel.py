@@ -2,7 +2,6 @@
 
 import dataclasses
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -138,6 +137,8 @@ def test_interaction_free_shares_direct_path():
     g = interaction_free(f, z)
     assert g.Z_ROT is f.Z_ROT
     assert g.H_d is f.H_d
+    assert g.Z_RL is f.Z_RL
+    assert g.Z_TG is f.Z_TG
     assert np.shares_memory(g.Z_SS, f.Z_SS)
     assert np.array_equal(g.Z_ROS, -z.Z_RS)
     assert np.array_equal(g.Z_SOT, -z.Z_ST)
@@ -157,18 +158,15 @@ def test_no_scatterers_makes_models_identical():
 
 def test_a_surface_without_cells_is_rejected():
     # Every folded channel passes FoldedChannel's check, so no later stage
-    # meets N = 0: not the fold, not the interaction-free model, not a
-    # replaced Z_SS.
+    # meets N = 0: not the fold, not a replaced Z_SS, and so not the
+    # interaction-free model, which replaces blocks of the fold.
     rng = np.random.default_rng(9)
     empty = random_impedance_set(rng, n_ris=0)
     with pytest.raises(ValueError, match="no RIS cell"):
         fold_esos(empty)
     f = fold_esos(random_impedance_set(rng))
-    no_cells = np.zeros((0, 0), dtype=complex)
     with pytest.raises(ValueError, match="no RIS cell"):
-        interaction_free(SimpleNamespace(**{**vars(f), "Z_SS": no_cells}), empty)
-    with pytest.raises(ValueError, match="no RIS cell"):
-        dataclasses.replace(f, Z_SS=no_cells)
+        dataclasses.replace(f, Z_SS=np.zeros((0, 0), dtype=complex))
 
 
 def test_scalar_network_closed_form():
@@ -202,6 +200,8 @@ def test_loads_validation():
         RisLoads(0.2, np.array([-100.0, 0.0]), Q_TABLE)
     with pytest.raises(ValueError):
         RisLoads(0.2, np.array([-100.0]), (-1.0, -2.0))
+    with pytest.raises(ValueError, match="no RIS cell"):
+        RisLoads(0.2, np.zeros(0), Q_TABLE)
     loads = RisLoads(0.2, [-100.0, -50.0], Q_TABLE)
     assert loads.n == 2
     assert_allclose(loads.z_diagonal, np.array([0.2 - 100j, 0.2 - 50j]))

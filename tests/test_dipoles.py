@@ -398,6 +398,31 @@ def test_assembly_builds_one_geometry_table(monkeypatch, deployment):
     assert len(calls) == 1
 
 
+def test_assembly_walks_the_pairs_once(monkeypatch):
+    # One walk over the upper triangle both checks separations and fills Z,
+    # on and below the diagonal alike.
+    walks, pairs = [], []
+    triangle, coupling = saris.dipoles._upper_triangle, saris.dipoles._coupling
+
+    def counting_triangle(k):
+        walks.append(k)
+        return triangle(k)
+
+    def counting_coupling(rho, offsets, coefs, k):
+        pairs.append(rho.size)
+        return coupling(rho, offsets, coefs, k)
+
+    monkeypatch.setattr(saris.dipoles, "_upper_triangle", counting_triangle)
+    monkeypatch.setattr(saris.dipoles, "_coupling", counting_coupling)
+    dipoles = mixed_deployment()
+    kk = len(dipoles)
+    assert kk * (kk + 1) // 2 > _PAIRS_PER_CALL
+    full = assemble_impedances(dipoles, LAM).full_matrix()
+    assert walks == [kk]
+    assert sum(pairs) == kk * (kk + 1) // 2
+    assert np.array_equal(full, full.T)
+
+
 def separation_clash(overlap):
     """Elements 0 and 3 (in assembly order) are collinear with overlapping
     extents; with overlap, elements 5 and 6 also sit closer than their radii."""
@@ -413,16 +438,20 @@ def separation_clash(overlap):
 
 
 @pytest.mark.parametrize(
-    "overlap, message",
+    "overlap, message, size",
     [
-        (True, "distinct dipoles overlap: elements 5 and 6 "),
-        (False, "wire bodies intersect: elements 0 and 3 "),
+        (True, "distinct dipoles overlap: elements 5 and 6 ", _PAIRS_PER_CALL),
+        (False, "wire bodies intersect: elements 0 and 3 ", _PAIRS_PER_CALL),
+        (True, "distinct dipoles overlap: elements 5 and 6 ", 1),
+        (False, "wire bodies intersect: elements 0 and 3 ", 1),
     ],
-    ids=["overlap-first", "body"],
+    ids=["overlap-first", "body", "overlap-first-pair-chunks", "body-pair-chunks"],
 )
-def test_separation_error_names_the_first_offending_pair(overlap, message):
+def test_separation_error_names_the_first_offending_pair(monkeypatch, overlap, message, size):
     # Overlaps are checked over all pairs before wire bodies, so the later
-    # overlapping pair (5, 6) is reported ahead of the body pair (0, 3).
+    # overlapping pair (5, 6) is reported ahead of the body pair (0, 3), also
+    # when each pair is a chunk of its own and the two sit chunks apart.
+    monkeypatch.setattr(saris.dipoles, "_PAIRS_PER_CALL", size)
     with pytest.raises(GeometryError) as info:
         assemble_impedances(separation_clash(overlap), LAM)
     assert str(info.value).startswith(message)
