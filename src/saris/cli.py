@@ -9,6 +9,7 @@ in metadata.json.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import json
@@ -116,20 +117,6 @@ def _run_trial(payload):
     return records
 
 
-def _execute_trials(config: ScenarioConfig, opt_config, algos, baseline_trials, jobs):
-    payloads = [
-        (config, opt_config, trial, algos, baseline_trials) for trial in range(config.trials)
-    ]
-    if jobs <= 1 or len(payloads) <= 1:
-        results = [_run_trial(p) for p in payloads]
-    else:
-        with ProcessPoolExecutor(
-            max_workers=jobs, mp_context=multiprocessing.get_context("spawn")
-        ) as pool:
-            results = list(pool.map(_run_trial, payloads))
-    return [record for per_trial in results for record in per_trial]
-
-
 def _summarize(records, algos):
     """One summary row per algorithm, for summary.csv and sweep.csv."""
     rows = []
@@ -206,19 +193,6 @@ def _load_config(args) -> ScenarioConfig:
     return config
 
 
-def _requested_algos(token: str):
-    return ALGOS if token == "all" else (token,)
-
-
-def _check_run_options(args, algos) -> None:
-    """Reject option values that would otherwise be ignored or fail only
-    after earlier realizations have run."""
-    if args.jobs < 1:
-        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
-    if "random" in algos and args.baseline_trials < 1:
-        raise ConfigError(f"--baseline-trials must be at least 1, got {args.baseline_trials}")
-
-
 def _optimizer_config(config: ScenarioConfig, args) -> OptimizerConfig:
     """The optimizer settings every realization of `config` runs with."""
     try:
@@ -236,14 +210,41 @@ def _optimizer_config(config: ScenarioConfig, args) -> OptimizerConfig:
         raise ConfigError(f"{flag}: {exc}") from None
 
 
-def cmd_run(args) -> int:
-    config = _load_config(args)
-    algos = _requested_algos(args.algo)
-    _check_run_options(args, algos)
-    opt_config = _optimizer_config(config, args)
+def _run_points(args, configs):
+    """Run each config's realizations in turn; return (algos, output
+    directory, records per config).
+
+    Option values that would otherwise be ignored, or fail only after
+    earlier realizations have run, are rejected before the output directory
+    exists. With --jobs above 1, one worker pool serves every config, mapped
+    one config at a time, so a failure keeps later configs from starting.
+    """
+    algos = ALGOS if args.algo == "all" else (args.algo,)
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
+    if "random" in algos and args.baseline_trials < 1:
+        raise ConfigError(f"--baseline-trials must be at least 1, got {args.baseline_trials}")
+    opt_configs = [_optimizer_config(config, args) for config in configs]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    records = _execute_trials(config, opt_config, algos, args.baseline_trials, args.jobs)
+    run = map
+    with contextlib.ExitStack() as stack:
+        if args.jobs > 1 and any(config.trials > 1 for config in configs):
+            spawn = multiprocessing.get_context("spawn")
+            run = stack.enter_context(ProcessPoolExecutor(args.jobs, mp_context=spawn)).map
+        records = []
+        for config, opt_config in zip(configs, opt_configs):
+            payloads = [
+                (config, opt_config, trial, algos, args.baseline_trials)
+                for trial in range(config.trials)
+            ]
+            records.append([rec for per_trial in run(_run_trial, payloads) for rec in per_trial])
+    return algos, out, records
+
+
+def cmd_run(args) -> int:
+    config = _load_config(args)
+    algos, out, (records,) = _run_points(args, [config])
 
     trace_rows = [
         {"algo": record["algo"], "seed": record["seed"], "iter": i, "smse": err, "sum_rate": rate}
@@ -289,18 +290,12 @@ def cmd_sweep(args) -> int:
     if not tokens:
         raise ConfigError("--values must list at least one value")
     points = [_sweep_value(config, var, token) for token in tokens]
-    algos = _requested_algos(args.algo)
-    _check_run_options(args, algos)
-    opt_configs = [_optimizer_config(point_config, args) for point_config, _ in points]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
-    sweep_rows = []
-    for (point_config, label), opt_config in zip(points, opt_configs):
-        records = _execute_trials(point_config, opt_config, algos, args.baseline_trials, args.jobs)
-        sweep_rows += [
-            {"var": var, "value": label, **row} for row in _summarize(records, algos)
-        ]
+    algos, out, per_point = _run_points(args, [point_config for point_config, _ in points])
+    sweep_rows = [
+        {"var": var, "value": label, **row}
+        for (_, label), records in zip(points, per_point)
+        for row in _summarize(records, algos)
+    ]
     _write_csv(
         out / "sweep.csv",
         ["var", "value", "algo", "mean_rate", "std_rate", "mean_iters", "mean_time_s"],

@@ -292,6 +292,78 @@ def test_numerical_breakdown_in_a_worker_reports_exit_four(tmp_path, capsys):
     assert "error: block Z_L is numerically singular" in capsys.readouterr().err
 
 
+def test_unplaceable_cluster_reports_config_error(tmp_path, capsys):
+    # A cluster radius of 10 m leaves no centre clear of the terminals.
+    cfg = write_config(tmp_path, r=10.0)
+    code = run_cli("run", "--config", str(cfg), "--trials", "1", "--out", str(tmp_path / "out"))
+    assert code == EXIT_CONFIG
+    assert "could not place cluster 0 clear of the terminals" in capsys.readouterr().err
+
+
+@pytest.fixture
+def in_process_pools(monkeypatch):
+    """Stand in for the worker pool: record every pool the CLI opens and
+    every payload mapped onto it, and run each map in this process."""
+    pools = []
+
+    class InProcessPool:
+        def __init__(self, *args, **kwargs):
+            self.payloads = []
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, iterable):
+            # Submits every item before returning, as ProcessPoolExecutor does.
+            items = list(iterable)
+            self.payloads += items
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(saris.cli, "ProcessPoolExecutor", InProcessPool)
+    return pools
+
+
+def test_sweep_opens_one_pool_for_all_points(tmp_path, in_process_pools):
+    cfg = write_config(tmp_path)
+    flags = ["--config", str(cfg), "--sweep", "R0", "--values", "0.1,0.2,0.3", "--trials", "2",
+             "--algo", "all", "--max-iter", "20", "--baseline-trials", "4"]
+    assert run_cli("sweep", *flags, "--jobs", "1", "--out", str(tmp_path / "serial")) == EXIT_OK
+    assert in_process_pools == []
+    assert run_cli("sweep", *flags, "--jobs", "2", "--out", str(tmp_path / "pooled")) == EXIT_OK
+    assert len(in_process_pools) == 1
+    assert [p[0].R0 for p in in_process_pools[0].payloads] == [0.1, 0.1, 0.2, 0.2, 0.3, 0.3]
+    serial, pooled = (
+        drop_column(*read_csv(tmp_path / name / "sweep.csv"), "mean_time_s")
+        for name in ("serial", "pooled")
+    )
+    assert serial == pooled
+
+
+def test_pooled_sweep_failure_stops_before_the_next_point(
+    tmp_path, capsys, monkeypatch, in_process_pools
+):
+    real = saris.cli.saris_optimize
+
+    def singular_at_first_point(f, opt_config):
+        if opt_config.r0 == 0.1:
+            raise SingularBlockError("Z_L", np.inf)
+        return real(f, opt_config)
+
+    monkeypatch.setattr(saris.cli, "saris_optimize", singular_at_first_point)
+    cfg = write_config(tmp_path)
+    code = run_cli(
+        "sweep", "--config", str(cfg), "--sweep", "R0", "--values", "0.1,0.2,0.3",
+        "--trials", "2", "--max-iter", "20", "--jobs", "2", "--out", str(tmp_path / "out"),
+    )
+    assert code == EXIT_NUMERICAL
+    assert "error: block Z_L is numerically singular" in capsys.readouterr().err
+    assert [p[0].R0 for pool in in_process_pools for p in pool.payloads] == [0.1, 0.1]
+
+
 @pytest.mark.parametrize(
     "exc",
     [
@@ -496,6 +568,14 @@ def test_sweep_rejects_non_finite_value(tmp_path, capsys):
     )
     assert code == EXIT_CONFIG
     assert "sweep value 'nan' for R0" in capsys.readouterr().err
+
+
+def test_sweep_rejects_empty_value_list(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = run_cli("sweep", "--sweep", "R0", "--values", ",", "--out", str(out))
+    assert code == EXIT_CONFIG
+    assert "--values must list at least one value" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_rejects_unknown_variable(tmp_path):

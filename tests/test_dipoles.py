@@ -204,6 +204,8 @@ def test_dipole_validation():
     with pytest.raises(ValueError):
         # Thin-wire assumption: radius must stay far below the length.
         Dipole((0, 0, 0), HALF_WAVE, HALF_WAVE / 5, Role.ESO)
+    with pytest.raises(ValueError, match="position must have three components"):
+        Dipole((0.0, 0.0), HALF_WAVE, RADIUS, Role.ESO)
 
 
 def test_degenerate_electrical_length_rejected():

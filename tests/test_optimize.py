@@ -439,6 +439,13 @@ def test_delta_solve_rejects_non_finite_input(bad, where):
         solve_delta(ds, w, sigma_n2, 1.0)
 
 
+def test_delta_solve_rejects_zero_trust_norm():
+    # The step is scaled to the trust bound 1/g_norm.
+    ds, w = constant_delta_step(1.0)
+    with pytest.raises(ValueError, match="g_norm must be positive"):
+        solve_delta(ds, w, 1e-11, 0.0)
+
+
 def test_delta_solve_reports_indefinite_system():
     # A negative regularizer with zero sensitivities leaves -I: potrf fails
     # on the first leading minor.
