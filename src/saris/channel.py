@@ -21,8 +21,8 @@ from saris.dipoles import ImpedanceSet
 
 COND_LIMIT = 1e12
 
-# Columns per block of `_one_norm` and of the A_off sums of `FoldedChannel`;
-# their |a| temporaries stay within this many columns of the matrix.
+# Columns per block of `_off_diagonal_sums`; its |a| temporaries stay within
+# this many columns of the matrix.
 _NORM_COLUMNS = 256
 
 _getrf, _gecon, _getrs, _laswp = get_lapack_funcs(
@@ -130,13 +130,7 @@ class FoldedChannel:
         # Fortran order, so the solves against S copy it without transposing.
         b = np.asfortranarray(self.Z_SOT @ self.Z_TG)
         a = np.add(self.Z_SS, self.Z_SOS, order="F")
-        a_off = np.empty(len(a))
-        for lo in range(0, len(a), _NORM_COLUMNS):
-            cols = slice(lo, lo + _NORM_COLUMNS)
-            abs_block = np.abs(a[:, cols])
-            # Column lo + j of A holds its diagonal entry in row lo + j.
-            np.fill_diagonal(abs_block[lo:], 0.0)
-            abs_block.sum(axis=0, out=a_off[cols])
+        a_off = _off_diagonal_sums(a)
         for derived in (v, b, a, a_off):
             derived.flags.writeable = False
         object.__setattr__(self, "v", v)
@@ -157,32 +151,42 @@ class FoldedChannel:
         return self.Z_SS.shape[0]
 
 
-def _one_norm(a: np.ndarray) -> float:
-    """max_j sum_i |a_ij|, as `np.linalg.norm(a, 1)` computes it, but over
-    blocks of columns, so no |a| copy of the whole matrix is made. A NaN in
-    any column makes the result NaN."""
-    sums = np.empty(a.shape[1])
-    for lo in range(0, a.shape[1], _NORM_COLUMNS):
+def _off_diagonal_sums(a: np.ndarray) -> np.ndarray:
+    """sum_{i != j} |a_ij| for every column j of the square `a`, over blocks
+    of columns, so no |a| copy of the whole matrix is made. A NaN or inf off
+    the diagonal of column j makes entry j non-finite."""
+    sums = np.empty(len(a))
+    for lo in range(0, len(a), _NORM_COLUMNS):
         cols = slice(lo, lo + _NORM_COLUMNS)
-        np.abs(a[:, cols]).sum(axis=0, out=sums[cols])
-    # ndarray.max propagates NaN wherever it sits, unlike the builtin max.
-    return sums.max()
+        abs_block = np.abs(a[:, cols])
+        # Column lo + j holds its diagonal entry in row lo + j.
+        np.fill_diagonal(abs_block[lo:], 0.0)
+        abs_block.sum(axis=0, out=sums[cols])
+    return sums
 
 
-def _guarded_lu(a: np.ndarray, name: str, anorm: float | None = None):
-    """LU factors (lu, piv) of a square matrix, rejecting near-singular blocks
-    by a reciprocal condition estimate. A Fortran-ordered complex `a` is
-    factored in place, so callers pass a temporary. `anorm` is the 1-norm of
-    `a` when the caller already knows it."""
-    if anorm is None:
-        anorm = _one_norm(a)
+def _guarded_lu(a: np.ndarray, d, name: str, a_off: np.ndarray | None = None):
+    """LU factors (lu, piv) of s = a + diag(d), rejecting a near-singular s
+    by a reciprocal condition estimate. s is formed in a Fortran-ordered copy
+    that getrf factors in place; `a` is never written. The 1-norm of s is
+    max_j (a_off[j] + |s_jj|), with a_off the off-diagonal column sums of
+    `a`, which the caller passes when it already has them."""
+    s = a.copy(order="F")
+    # The diagonal as a strided view of the freshly made Fortran buffer.
+    diagonal = s.reshape(-1, order="F")[:: len(s) + 1]
+    diagonal += d
+    if a_off is None:
+        a_off = _off_diagonal_sums(s)
+    # np.maximum.reduce propagates NaN wherever it sits, unlike the builtin
+    # max, so a NaN on or off the diagonal reaches anorm.
+    anorm = np.maximum.reduce(a_off + np.abs(diagonal))
     if not math.isfinite(anorm):
         raise SingularBlockError(name, np.inf)
     # An exactly singular factor (getrf info > 0) has rcond 0 and is reported
     # below as a typed error. getrf(a, overwrite_a) and gecon(lu, anorm, norm)
     # are called positionally: at N = 16 keyword parsing adds 0.5-1 us to
     # each call.
-    lu, piv, _ = _getrf(a, 1)
+    lu, piv, _ = _getrf(s, 1)
     rcond, info = _gecon(lu, anorm, "1")
     if info != 0 or rcond <= 0 or not math.isfinite(rcond) or 1.0 / rcond > COND_LIMIT:
         raise SingularBlockError(name, np.inf if rcond <= 0 else 1.0 / rcond)
@@ -202,8 +206,8 @@ def fold_esos(z: ImpedanceSet) -> FoldedChannel:
 
     Every block is applied through LU solves; a condition estimate above
     COND_LIMIT raises SingularBlockError naming the offending block. The
-    blocks are read as views of `z.Z`; Z_OO + Z_US is formed once, as a
-    Fortran-ordered copy of Z_OO with z_us added on its diagonal, which
+    blocks are read as views of `z.Z`; `_guarded_lu` forms Z_OO + Z_US once,
+    as a Fortran-ordered copy of Z_OO with z_us added on its diagonal, which
     getrf then factors in place.
 
     The folded channel's Z_SS is a read-only view of `z.Z`, not a copy: no
@@ -214,7 +218,7 @@ def fold_esos(z: ImpedanceSet) -> FoldedChannel:
     ns = z.n_eso
     m, l = z.m_tx, z.l_rx
     if ns:
-        lu = _guarded_lu(_plus_diagonal(z.Z_OO, z.z_us), "Z_OO + Z_US")
+        lu = _guarded_lu(z.Z_OO, z.z_us, "Z_OO + Z_US")
         x_sol = _lu_solve(lu, z.Z_OT)
         y_sol = _lu_solve(lu, z.Z_OS)
     else:
@@ -228,10 +232,9 @@ def fold_esos(z: ImpedanceSet) -> FoldedChannel:
 
     if np.any(z.z_l == 0):
         raise SingularBlockError("Z_L", np.inf)
-    a_rl = np.eye(l, dtype=complex) + z.Z_RR / z.z_l[None, :]
-    z_rl = _lu_solve(_guarded_lu(a_rl, "I + Z_RR Z_L^-1"), np.eye(l, dtype=complex))
-    a_tg = _plus_diagonal(z.Z_TT, z.z_g)
-    z_tg = _lu_solve(_guarded_lu(a_tg, "Z_TT + Z_G"), np.eye(m, dtype=complex))
+    lu_rl = _guarded_lu(z.Z_RR / z.z_l[None, :], 1.0, "I + Z_RR Z_L^-1")
+    z_rl = _lu_solve(lu_rl, np.eye(l, dtype=complex))
+    z_tg = _lu_solve(_guarded_lu(z.Z_TT, z.z_g, "Z_TT + Z_G"), np.eye(m, dtype=complex))
 
     return FoldedChannel(
         Z_ROT=z_rot,
@@ -245,32 +248,20 @@ def fold_esos(z: ImpedanceSet) -> FoldedChannel:
     )
 
 
-def _plus_diagonal(a: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """A Fortran-ordered copy of the square `a` with `d` added to its
-    diagonal, ready for LAPACK to factor in place."""
-    s = a.copy(order="F")
-    # The diagonal as a strided view of the freshly made Fortran buffer.
-    s.reshape(-1, order="F")[:: len(s) + 1] += d
-    return s
-
-
 class LoadEvaluation:
     """The channel h = H_d - v a_mat at one load setting, from one guarded LU
     of S = Z_SS + Z_SOS + Z_RIS, with v = Z_RL Z_ROS and a_mat = S^-1 B,
     B = Z_SOT Z_TG (both from the folded channel). Other uses of S^-1 go
     through solve and solve_vector, so the inverse is never formed. Only the
-    diagonal of S changes with the loads, so its 1-norm for the condition
-    estimate is max_j (A_off[j] + |S_jj|) and needs no pass over the whole
-    matrix."""
+    diagonal of S changes with the loads, so the guarded LU takes the 1-norm
+    of S from the folded A_off and needs no pass over the whole matrix."""
 
     def __init__(self, f: FoldedChannel, loads: RisLoads):
         n = loads.n
         if n != f.n_ris:
             raise ValueError(f"loads have {n} entries, channel expects {f.n_ris}")
         self.loads = loads
-        s = _plus_diagonal(f.A, loads.z_diagonal)
-        anorm = np.maximum.reduce(f.A_off + np.abs(s.diagonal()))
-        self._lu = _guarded_lu(s, "Z_SS + Z_SOS + Z_RIS", anorm)
+        self._lu = _guarded_lu(f.A, loads.z_diagonal, "Z_SS + Z_SOS + Z_RIS", f.A_off)
         self.v = f.v
         self.a_mat = self.solve(f.B)
         self.h = f.H_d - self.v @ self.a_mat

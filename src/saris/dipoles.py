@@ -27,6 +27,7 @@ gathering one per pair.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -74,11 +75,15 @@ class Dipole:
     role: Role
 
     def __post_init__(self):
-        object.__setattr__(self, "position", tuple(float(c) for c in self.position))
-        if len(self.position) != 3:
+        position = tuple(float(c) for c in self.position)
+        object.__setattr__(self, "position", position)
+        if len(position) != 3:
             raise ValueError("position must have three components")
-        if not self.length > 0:
-            raise ValueError(f"length must be positive, got {self.length}")
+        # A NaN coordinate would give zero coupling to every other dipole.
+        if not all(map(math.isfinite, position)):
+            raise ValueError(f"position must be finite, got {position}")
+        if not 0 < self.length < math.inf:
+            raise ValueError(f"length must be positive and finite, got {self.length}")
         if not self.wire_radius > 0:
             raise ValueError(f"wire_radius must be positive, got {self.wire_radius}")
         if not self.wire_radius < self.length / 10:

@@ -329,18 +329,36 @@ def test_replaced_block_recomputes_cached_inner_block():
 
 
 def test_condition_estimate_gets_the_exact_one_norm(monkeypatch):
-    # LoadEvaluation hands _guarded_lu the 1-norm of S from the cached
-    # off-diagonal column sums and the load diagonal; it must match the norm
-    # of the full matrix.
+    # Every guarded LU hands gecon the 1-norm of the matrix getrf factors,
+    # taken from off-diagonal column sums and the diagonal: the fold's three
+    # from sums over its own copy, each evaluation from the folded A_off. It
+    # must match the norm of the full matrix.
     rng = np.random.default_rng(17)
-    folded = [
-        folded_scenario(ScenarioConfig())[1],
-        folded_scenario(dataclasses.replace(ScenarioConfig(), N=256, N_c=1, N_O=20))[1],
+    configs = [ScenarioConfig(), dataclasses.replace(ScenarioConfig(), N=256, N_c=1, N_O=20)]
+    sets = [
+        random_impedance_set(rng, n_eso=int(rng.integers(0, 13)), n_ris=int(rng.integers(1, 9)))
+        for _ in range(20)
     ]
-    for _ in range(20):
-        z = random_impedance_set(
-            rng, n_eso=int(rng.integers(0, 13)), n_ris=int(rng.integers(1, 9))
-        )
+    names, norms, anorms = [], [], []
+    guarded, getrf, gecon = channel._guarded_lu, channel._getrf, channel._gecon
+
+    def guarded_spy(a, d, name, a_off=None):
+        names.append(name)
+        return guarded(a, d, name, a_off)
+
+    def getrf_spy(a, overwrite):
+        norms.append(np.linalg.norm(a, 1))
+        return getrf(a, overwrite)
+
+    def gecon_spy(lu, anorm, norm):
+        anorms.append(anorm)
+        return gecon(lu, anorm, norm)
+
+    monkeypatch.setattr(channel, "_guarded_lu", guarded_spy)
+    monkeypatch.setattr(channel, "_getrf", getrf_spy)
+    monkeypatch.setattr(channel, "_gecon", gecon_spy)
+    folded = [folded_scenario(config)[1] for config in configs]
+    for z in sets:
         folded += [fold_esos(z), interaction_free(fold_esos(z), z)]
     # A block large enough to make the LU pivot.
     f = fold_esos(random_impedance_set(rng, n_ris=12))
@@ -349,20 +367,34 @@ def test_condition_estimate_gets_the_exact_one_norm(monkeypatch):
             f, Z_SS=1e3 * (rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12)))
         )
     )
-    seen = []
-    guarded = channel._guarded_lu
-
-    def spy(a, name, anorm=None):
-        seen.append((anorm, np.linalg.norm(a, 1)))
-        return guarded(a, name, anorm)
-
-    monkeypatch.setattr(channel, "_guarded_lu", spy)
     for f in folded:
         for _ in range(3):
             LoadEvaluation(f, random_loads(rng, f.n_ris))
-    assert len(seen) == 3 * len(folded)
-    for got, want in seen:
-        assert abs(got - want) <= 1e-14 * want
+    assert set(names) == {"Z_OO + Z_US", "I + Z_RR Z_L^-1", "Z_TT + Z_G", "Z_SS + Z_SOS + Z_RIS"}
+    folds = len(configs) + 2 * len(sets) + 1
+    assert names.count("Z_TT + Z_G") == names.count("I + Z_RR Z_L^-1") == folds
+    assert names.count("Z_SS + Z_SOS + Z_RIS") == 3 * len(folded)
+    assert len(norms) == len(anorms) == len(names)
+    for name, got, want in zip(names, anorms, norms):
+        assert abs(got - want) <= 1e-14 * want, name
+
+
+def test_guarded_lu_leaves_its_argument_unwritten():
+    # The factored matrix is _guarded_lu's own copy, whatever the layout of
+    # `a` and whether or not the caller passes its off-diagonal sums.
+    rng = np.random.default_rng(20)
+    n = 40
+    d = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    for order in ("C", "F"):
+        a = np.asarray(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), order=order)
+        a += 10.0 * n * np.eye(n)
+        before = a.copy()
+        for a_off in (None, channel._off_diagonal_sums(a)):
+            factors = channel._guarded_lu(a, d, "a", a_off)
+            assert np.array_equal(a, before)
+            assert not np.shares_memory(factors[0], a)
+            inverse = channel._lu_solve(factors, np.eye(n, dtype=complex))
+            assert_allclose(inverse, np.linalg.inv(a + np.diag(d)), rtol=1e-12)
 
 
 def test_front_end_memory_is_bounded_by_the_port_matrix():
@@ -427,13 +459,13 @@ def test_back_end_memory_holds_only_the_blocks_its_stages_read():
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
-def test_blocked_one_norm_matches_numpy(order):
+def test_off_diagonal_sums_match_numpy(order):
     rng = np.random.default_rng(18)
-    shape = (300, 2 * channel._NORM_COLUMNS + 37)
-    a = np.asarray(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), order=order)
-    assert channel._one_norm(a) == np.linalg.norm(a, 1)
-    square = np.asarray(a[:, : shape[0]], order=order)
-    assert channel._one_norm(square) == np.linalg.norm(square, 1)
+    n = 2 * channel._NORM_COLUMNS + 37
+    a = np.asarray(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), order=order)
+    off = np.abs(a)
+    np.fill_diagonal(off, 0.0)
+    assert channel._off_diagonal_sums(a).tobytes() == off.sum(axis=0).tobytes()
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
@@ -446,8 +478,15 @@ def test_non_finite_entry_in_a_late_column_block_raises(order, value):
     a = np.asarray(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), order=order)
     a += 10.0 * n * np.eye(n)
     a[:, 0] *= 1e3
-    a[n // 2, -2] = value
-    with pytest.raises(SingularBlockError) as err:
-        channel._guarded_lu(a, "late")
-    assert err.value.block == "late"
-    assert err.value.cond == np.inf
+    # Off the diagonal the value enters through the column sums, on it
+    # through |s_jj|, whether it sits in `a` or in the added diagonal.
+    for row, in_d in ((n // 2, False), (n - 2, False), (n - 2, True)):
+        b, d = a.copy(order=order), np.zeros(n)
+        if in_d:
+            d[-2] = value
+        else:
+            b[row, -2] = value
+        with pytest.raises(SingularBlockError) as err:
+            channel._guarded_lu(b, d, "late")
+        assert err.value.block == "late"
+        assert err.value.cond == np.inf

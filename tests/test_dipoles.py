@@ -208,6 +208,21 @@ def test_dipole_validation():
         Dipole((0.0, 0.0), HALF_WAVE, RADIUS, Role.ESO)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", ["x", "y", "z", "length"])
+def test_dipole_rejects_non_finite_geometry(field, value):
+    # A NaN coordinate would otherwise give zero coupling to every other
+    # dipole, and an infinite one a NaN impedance.
+    position = [0.0, 0.0, 0.0]
+    length = HALF_WAVE
+    if field == "length":
+        length = value
+    else:
+        position["xyz".index(field)] = value
+    with pytest.raises(ValueError, match="length" if field == "length" else "position"):
+        Dipole(tuple(position), length, RADIUS, Role.ESO)
+
+
 def test_degenerate_electrical_length_rejected():
     # A full-wavelength dipole has a vanishing feed-current factor.
     with pytest.raises(ValueError):
