@@ -272,7 +272,6 @@ def cmd_run(args) -> int:
 def _sweep_value(config: ScenarioConfig, var: str, token: str) -> tuple[ScenarioConfig, str]:
     """`config` with `var` set from `token`, read as in a config file, and
     the value's label."""
-    token = token.strip()
     try:
         value, scaled = parse_value(var, token)
         if scaled:
@@ -286,7 +285,7 @@ def _sweep_value(config: ScenarioConfig, var: str, token: str) -> tuple[Scenario
 def cmd_sweep(args) -> int:
     config = _load_config(args)
     var = args.sweep
-    tokens = [t for t in args.values.split(",") if t.strip()]
+    tokens = [t for t in map(str.strip, args.values.split(",")) if t]
     if not tokens:
         raise ConfigError("--values must list at least one value")
     points = [_sweep_value(config, var, token) for token in tokens]

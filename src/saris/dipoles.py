@@ -311,8 +311,8 @@ def _pair_impedances(dipoles: list[Dipole], wavelength: float, chunks):
     the same result bit for bit, and a pair's result does not depend on the
     chunk it shares.
     """
-    if not wavelength > 0:
-        raise ValueError(f"wavelength must be positive, got {wavelength}")
+    if not 0 < wavelength < math.inf:
+        raise ValueError(f"wavelength must be positive and finite, got {wavelength}")
     pos = np.array([d.position for d in dipoles])
     x, y, zc = pos.T.copy()
     length = np.array([d.length for d in dipoles])

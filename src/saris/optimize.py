@@ -24,6 +24,7 @@ from saris.channel import (
     interaction_free,
 )
 from saris.dipoles import ImpedanceSet
+from saris.scenario import ScenarioConfig
 
 _herk, _trsv = get_blas_funcs(("herk", "trsv"), dtype=np.complex128)
 _gesv, _potrf = get_lapack_funcs(("gesv", "potrf"), dtype=np.complex128)
@@ -41,12 +42,12 @@ class DegenerateChannelError(ValueError):
 
 @dataclass
 class OptimizerConfig:
-    power: float = 1.0
-    sigma_n2: float = 1e-11
+    power: float = ScenarioConfig.P
+    sigma_n2: float = ScenarioConfig.sigma_n2
     epsilon: float = 1e-9
     max_iter: int = 500
-    q_interval: tuple[float, float] = (-302.50, -19.66)
-    r0: float = 0.2
+    q_interval: tuple[float, float] = ScenarioConfig.Q_interval
+    r0: float = ScenarioConfig.R0
 
     def __post_init__(self):
         # Each message starts with the field name, which the CLI maps to its
@@ -380,11 +381,9 @@ def mismatched_optimize(
     return state
 
 
-def random_baseline(
-    f: FoldedChannel, config: OptimizerConfig, trials: int = 100, rng=None
-) -> OptimizerState:
-    """Best of uniformly random reactance draws, each with its matched
-    precoder.
+def random_baseline(f: FoldedChannel, config: OptimizerConfig, trials: int, rng) -> OptimizerState:
+    """Best of `trials` uniformly random reactance draws, each with its
+    matched precoder; `rng` is a seed or Generator for np.random.default_rng.
 
     The rate trace is the running best sum-rate over draws and the SMSE trace
     the running best (lowest) SMSE; the returned precoder and loads belong to
@@ -392,10 +391,8 @@ def random_baseline(
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    gen = np.random.default_rng(rng)
-    n = f.n_ris
     lo, hi = config.q_interval
-    draws = gen.uniform(lo, hi, size=(trials, n))
+    draws = np.random.default_rng(rng).uniform(lo, hi, size=(trials, f.n_ris))
 
     best_rate = -np.inf
     best = None
@@ -417,12 +414,14 @@ def random_baseline(
         del ev
 
     w, ev = best
-    state = OptimizerState(W=w, evaluation=ev)
-    state.smse_trace = smse_trace
-    state.rate_trace = rate_trace
-    state.iteration = trials
-    state.converged = True
-    state.feasible_trace = [True] * trials
-    state.final_smse = smse_trace[-1]
-    state.final_sum_rate = best_rate
-    return state
+    return OptimizerState(
+        W=w,
+        evaluation=ev,
+        smse_trace=smse_trace,
+        rate_trace=rate_trace,
+        iteration=trials,
+        converged=True,
+        feasible_trace=[True] * trials,
+        final_smse=smse_trace[-1],
+        final_sum_rate=best_rate,
+    )

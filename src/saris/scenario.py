@@ -26,8 +26,8 @@ MIN_SEPARATION_RADII = 4.0
 _CLUSTER_RETRIES = 100
 _MEMBER_RETRIES = 1000
 
-# Fallback receiver placement: along x at 4-wavelength steps starting from
-# the first default receiver, matching the two defaults below.
+# Receivers past the reference deployment's continue its row along x, at
+# 4-wavelength steps from the first reference receiver.
 _UE_ANCHOR_X = 16.0
 _UE_STEP_X = 4.0
 _UE_Y = 24.0
@@ -35,7 +35,10 @@ _UE_Y = 24.0
 
 def default_ue_position(index: int, wavelength: float) -> tuple[float, float]:
     """Position of receiver `index` (0-based) when the config does not place
-    it explicitly, in meters."""
+    it explicitly, in meters: a reference receiver scaled by wavelength /
+    ScenarioConfig.wavelength, and past those the next place in their row."""
+    if index < len(ScenarioConfig.p_UE):
+        return scale_length(ScenarioConfig.p_UE[index], wavelength / ScenarioConfig.wavelength)
     return (
         (_UE_ANCHOR_X + _UE_STEP_X * index) * wavelength,
         _UE_Y * wavelength,
@@ -385,12 +388,9 @@ def parse_config(text: str) -> ScenarioConfig:
         if ue_match and int(ue_match.group(1)) > l_users:
             raise ConfigError(f"line {lines[key]}: {key} given but L = {l_users}")
 
-    def default_user(index: int) -> tuple[float, float]:
-        if index < len(_DEFAULTS.p_UE):
-            return scale_length(_DEFAULTS.p_UE[index], scale)
-        return default_ue_position(index, wavelength)
-
-    kwargs["p_UE"] = tuple(resolve(f"p_UE{i + 1}", default_user(i)) for i in range(l_users))
+    kwargs["p_UE"] = tuple(
+        resolve(f"p_UE{i + 1}", default_ue_position(i, wavelength)) for i in range(l_users)
+    )
 
     try:
         return ScenarioConfig(**kwargs)
@@ -403,8 +403,8 @@ def parse_config(text: str) -> ScenarioConfig:
 
 
 def resize_users(config: ScenarioConfig, l_users: int) -> ScenarioConfig:
-    """Config with L changed, keeping explicit receiver positions and filling
-    or trimming with the default placement rule."""
+    """Config with L changed: the first receivers kept, and any added one
+    placed by default_ue_position, as parse_config places it."""
     p_ue = list(config.p_UE[:l_users])
     while len(p_ue) < l_users:
         p_ue.append(default_ue_position(len(p_ue), config.wavelength))

@@ -25,7 +25,7 @@ from saris.cli import (
 )
 from saris.dipoles import GeometryError, Role
 from saris.optimize import DegenerateChannelError, OptimizerConfig, saris_optimize
-from saris.scenario import ConfigError, generate, parse_config, serialize_config
+from saris.scenario import ConfigError, ScenarioConfig, generate, parse_config, serialize_config
 
 from _helpers import folded_scenario, tiny_config
 
@@ -464,6 +464,13 @@ def test_one_optimizer_config_per_run_and_sweep_point(tmp_path, monkeypatch):
     assert seen[0] is seen[1] and seen[2] is seen[3]
 
 
+def test_default_optimizer_config_is_the_cli_reference_link():
+    # Library callers and the acceptance fixtures use OptimizerConfig(); a
+    # plain `saris run` builds its settings from the reference scenario.
+    args = saris.cli.build_parser().parse_args(["run", "--out", "unused"])
+    assert OptimizerConfig() == saris.cli._optimizer_config(ScenarioConfig(), args)
+
+
 def test_exit_code_mapping():
     assert exit_code_for(ConfigError("x")) == EXIT_CONFIG
     assert exit_code_for(GeometryError("x")) == EXIT_CONFIG
@@ -477,11 +484,14 @@ def test_exit_code_mapping():
         exit_code_for(KeyError("x"))
 
 
-def test_sweep_schema_and_values(tmp_path):
+@pytest.mark.parametrize(
+    "values", ["0.5lambda,0.045", " 0.5lambda , 0.045,"], ids=["plain", "spaced"]
+)
+def test_sweep_schema_and_values(tmp_path, values):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
     code = run_cli(
-        "sweep", "--config", str(cfg), "--sweep", "d", "--values", "0.5lambda,0.045",
+        "sweep", "--config", str(cfg), "--sweep", "d", "--values", values,
         "--trials", "1", "--max-iter", "20", "--out", str(out),
     )
     assert code == EXIT_OK
@@ -493,19 +503,27 @@ def test_sweep_schema_and_values(tmp_path):
     assert meta["sweep"] == {"var": "d", "values": ["0.5lambda", "0.045"]}
 
 
-def test_sweep_single_point_agrees_with_run(tmp_path):
-    cfg = write_config(tmp_path)
+@pytest.mark.parametrize(
+    "wavelength, swept_l", [(0.06, 2), (0.05, 1)], ids=["same-L", "added-receiver"]
+)
+def test_sweep_single_point_agrees_with_run(tmp_path, wavelength, swept_l):
+    base = f"wavelength = {wavelength}\nM = 2\nN = 4\nN_c = 1\nN_O = 8\n"
+    run_cfg = tmp_path / "run.cfg"
+    run_cfg.write_text(base + "L = 2\n")
+    swept_cfg = tmp_path / "swept.cfg"
+    swept_cfg.write_text(base + f"L = {swept_l}\n")
     run_out = tmp_path / "run"
     sweep_out = tmp_path / "sweep"
     flags = ["--algo", "all", "--trials", "2", "--max-iter", "20", "--baseline-trials", "4"]
-    assert run_cli("run", "--config", str(cfg), *flags, "--out", str(run_out)) == EXIT_OK
+    assert run_cli("run", "--config", str(run_cfg), *flags, "--out", str(run_out)) == EXIT_OK
     code = run_cli(
-        "sweep", "--config", str(cfg), "--sweep", "L", "--values", "2", *flags,
+        "sweep", "--config", str(swept_cfg), "--sweep", "L", "--values", "2", *flags,
         "--out", str(sweep_out),
     )
     assert code == EXIT_OK
-    # Sweeping L to its configured value reproduces the plain run exactly,
-    # in every column the two files share but the wall time.
+    # Sweeping L to 2 reproduces the plain run of the L = 2 config exactly,
+    # in every column the two files share but the wall time, whether L was
+    # already 2 or a receiver the config leaves out is added.
     shared = ["algo", "mean_rate", "std_rate", "mean_iters"]
     columns = []
     for path in (run_out / "summary.csv", sweep_out / "sweep.csv"):

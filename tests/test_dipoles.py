@@ -505,7 +505,9 @@ def test_assembly_termination_forms():
         assemble_impedances(dipoles, LAM, z_us=np.nan)
 
 
-@pytest.mark.parametrize("wavelength", [-LAM, 0.0, np.nan], ids=["negative", "zero", "nan"])
+@pytest.mark.parametrize(
+    "wavelength", [-LAM, 0.0, np.nan, np.inf], ids=["negative", "zero", "nan", "inf"]
+)
 @pytest.mark.parametrize(
     "build",
     [
@@ -515,7 +517,7 @@ def test_assembly_termination_forms():
     ids=["mutual_impedance", "assemble_impedances"],
 )
 def test_bad_wavelength_rejected(build, wavelength):
-    with pytest.raises(ValueError, match="wavelength must be positive"):
+    with pytest.raises(ValueError, match="wavelength must be positive and finite"):
         build(wavelength)
 
 

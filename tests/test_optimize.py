@@ -803,4 +803,4 @@ def test_baseline_final_metrics_match_best_draw():
     )
     assert state.final_sum_rate == state.rate_trace[-1]
     with pytest.raises(ValueError):
-        random_baseline(f, opt, trials=0)
+        random_baseline(f, opt, trials=0, rng=10)

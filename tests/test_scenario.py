@@ -279,6 +279,16 @@ def test_resize_users_keeps_existing_and_extends():
     assert smaller.p_UE == (config.p_UE[0],)
 
 
+@pytest.mark.parametrize("l_users", [1, 2, 3, 4])
+@pytest.mark.parametrize("wavelength", [0.05, 0.06, 0.07, 0.1])
+def test_resize_users_places_receivers_as_a_config_file(wavelength, l_users):
+    # saris sweep --sweep L resizes a parsed config; each point must be the
+    # deployment a config file with that L describes.
+    config = parse_config(f"wavelength = {wavelength}\nL = 1")
+    expected = parse_config(f"wavelength = {wavelength}\nL = {l_users}")
+    assert resize_users(config, l_users) == expected
+
+
 def test_serialize_round_trips_exactly():
     for config in (
         ScenarioConfig(),
